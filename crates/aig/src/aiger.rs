@@ -117,7 +117,12 @@ pub fn from_ascii(text: &str) -> Result<Aig, AigError> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or_else(|| parse_err(1, "empty input"))?;
     let h = parse_header(header, "aag", 1)?;
-    let mut lits: Vec<u32> = Vec::with_capacity(h.i);
+    // Reservations trust the header only as far as the remaining text
+    // can back it: every input/output line takes at least 2 bytes and
+    // every AND line at least 6, so a hostile header cannot force a
+    // huge allocation before the truncated body is noticed.
+    let rest = text.len() - header.len();
+    let mut lits: Vec<u32> = Vec::with_capacity(h.i.min(rest / 2));
     for _ in 0..h.i {
         let (n, line) = lines
             .next()
@@ -128,7 +133,7 @@ pub fn from_ascii(text: &str) -> Result<Aig, AigError> {
             .map_err(|_| parse_err(n + 1, "bad input literal"))?;
         lits.push(v);
     }
-    let mut out_lits: Vec<u32> = Vec::with_capacity(h.o);
+    let mut out_lits: Vec<u32> = Vec::with_capacity(h.o.min(rest / 2));
     for _ in 0..h.o {
         let (n, line) = lines
             .next()
@@ -139,7 +144,7 @@ pub fn from_ascii(text: &str) -> Result<Aig, AigError> {
             .map_err(|_| parse_err(n + 1, "bad output literal"))?;
         out_lits.push(v);
     }
-    let mut ands: Vec<(u32, u32, u32)> = Vec::with_capacity(h.a);
+    let mut ands: Vec<(u32, u32, u32)> = Vec::with_capacity(h.a.min(rest / 6));
     for _ in 0..h.a {
         let (n, line) = lines
             .next()
@@ -174,8 +179,11 @@ pub fn from_binary(bytes: &[u8]) -> Result<Aig, AigError> {
     let header = std::str::from_utf8(&bytes[..nl]).map_err(|_| parse_err(1, "non-utf8 header"))?;
     let h = parse_header(header, "aig", 1)?;
     let mut pos = nl + 1;
-    // Outputs: one ASCII literal per line.
-    let mut out_lits = Vec::with_capacity(h.o);
+    // Reservations are capped by what the remaining bytes can encode
+    // (an output line takes at least 2 bytes, a delta-coded AND at
+    // least 2), so a hostile header fails on the truncated body
+    // instead of aborting on its allocation.
+    let mut out_lits = Vec::with_capacity(h.o.min((bytes.len() - pos) / 2));
     for _ in 0..h.o {
         let end = bytes[pos..]
             .iter()
@@ -191,7 +199,7 @@ pub fn from_binary(bytes: &[u8]) -> Result<Aig, AigError> {
         pos += end + 1;
     }
     // ANDs: delta coded.
-    let mut ands = Vec::with_capacity(h.a);
+    let mut ands = Vec::with_capacity(h.a.min((bytes.len() - pos) / 2));
     for k in 0..h.a {
         let lhs = 2 * (h.i + 1 + k) as u32;
         let d0 = read_leb(bytes, &mut pos)?;
@@ -284,6 +292,14 @@ fn parse_header(line: &str, magic: &str, lineno: usize) -> Result<Header, AigErr
     if m < i + a {
         return Err(parse_err(lineno, "header M < I + A"));
     }
+    // Literals are 32-bit (`2 * var + 1`): a larger M cannot be
+    // represented, and its header would only drive huge allocations.
+    if m > (u32::MAX as usize - 1) / 2 {
+        return Err(parse_err(
+            lineno,
+            "header M exceeds the 32-bit literal range",
+        ));
+    }
     Ok(Header { i, o, a })
 }
 
@@ -295,10 +311,11 @@ fn build(
     symbols: &[&str],
 ) -> Result<Aig, AigError> {
     let mut g = Aig::new();
-    // The header names the exact shape: reserve the node lanes and
-    // the strash table once instead of growing through ~20 rehashes
-    // on a 1M-node ingest.
-    g.reserve_nodes(1 + h.i + h.a, h.a);
+    // The parsed sections give the exact shape: reserve the node lanes
+    // and the strash table once instead of growing through ~20
+    // rehashes on a 1M-node ingest. (Sized from the parsed data, not
+    // the header, which a hostile file can inflate.)
+    g.reserve_nodes(1 + in_lits.len() + ands.len(), ands.len());
     // var (aiger) -> literal in our graph
     let max_var = h.i + h.a;
     let mut map: Vec<Lit> = vec![Lit::INVALID; max_var + 1];
@@ -602,6 +619,21 @@ mod tests {
         assert!(equiv_exhaustive(&b1, &b2).expect("small"));
         let _ = std::fs::remove_file(p_aag);
         let _ = std::fs::remove_file(p_aig);
+    }
+
+    /// Headers declaring billions of objects over a few bytes of body
+    /// must fail on the truncated body, not abort on the allocation
+    /// the header asks for.
+    #[test]
+    fn hostile_headers_are_errors() {
+        // M beyond the 32-bit literal range (the 24 GB reservation
+        // that used to abort the process).
+        assert!(from_bytes(b"aig 3000000000 1000000000 0 1 2000000000\n2\n").is_err());
+        // In range, but the body cannot back the declared sections.
+        assert!(from_bytes(b"aig 2000000000 0 0 1 2000000000\n2\n").is_err());
+        assert!(from_bytes(b"aig 2000000000 0 0 2000000000 0\n2\n").is_err());
+        assert!(from_bytes(b"aag 2000000000 0 0 1 2000000000\n2\n").is_err());
+        assert!(from_bytes(b"aag 2000000000 1000000000 0 0 0\n2\n").is_err());
     }
 
     #[test]

@@ -12,6 +12,7 @@ use aig::{Lit, NodeId};
 use bench::{bench_json_path, design_pair, library};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 use techmap::{MapContext, MapOptions, Mapper};
 
 /// Transitive-fanout cone size of every node (plan classification
@@ -313,7 +314,13 @@ fn bench_components(c: &mut Criterion) {
     // the target's id and the old path recomputes nearly every row
     // while the true footprint stays small). Every rollback restores
     // the base graph exactly, so the replay is rebuild-free steady
-    // state.
+    // state. `map_dp_undo_ex28` replays the same plan but resyncs
+    // through the undo journal the cutoff sync armed
+    // (`Mapper::undo_sync`): the reject restores rows instead of
+    // recomputing them. Both of those series include the forward
+    // sync, which the undo does not touch; the `_resync_*_plan`
+    // pair times the resyncs alone, summed over whole plan passes
+    // (tracked >= 2x).
     {
         use aig::incremental::Transaction;
         let base = large.aig.clone();
@@ -356,9 +363,14 @@ fn bench_components(c: &mut Criterion) {
             }
         }
         assert!(plan.len() >= 16, "substitution plan degenerated");
-        for (name, cutoff) in [
-            ("map_dp_watermark_ex28", false),
-            ("map_dp_cutoff_ex28", true),
+        // (series, per-row cutoff, resync through the undo journal,
+        // time only the resyncs of full plan passes)
+        for (name, cutoff, undo, resync_only) in [
+            ("map_dp_watermark_ex28", false, false, false),
+            ("map_dp_cutoff_ex28", true, false, false),
+            ("map_dp_undo_ex28", true, true, false),
+            ("map_dp_resync_cutoff_plan_ex28", true, false, true),
+            ("map_dp_resync_undo_plan_ex28", true, true, true),
         ] {
             let mut edited = base.clone();
             let mut inc = IncrementalAnalysis::new(&edited);
@@ -368,31 +380,54 @@ fn bench_components(c: &mut Criterion) {
             ctx.set_row_cutoff(cutoff);
             let mut design = techmap::MappedDesign::new();
             mapper
-                .sync_design(&mut ctx, &edited, &db, 0, &mut design)
+                .sync_design(&mut ctx, &edited, &db, 0, true, &mut design)
                 .expect("mappable");
+            // One replay step; returns the time its resync took.
+            let mut replay = |(node, with): (NodeId, Lit)| -> Duration {
+                db.begin_edit();
+                let mut txn = Transaction::begin(&mut edited, &mut inc);
+                txn.substitute(node, with);
+                db.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
+                let since = txn.min_touched();
+                // Price the speculative candidate...
+                mapper
+                    .sync_design(&mut ctx, txn.aig(), &db, since, false, &mut design)
+                    .expect("mappable");
+                // ...reject it, and re-sync to the restored graph
+                // (the SA loop's `resync_edit` after a reject).
+                txn.rollback();
+                db.rollback_edit();
+                let t = Instant::now();
+                if undo {
+                    assert!(
+                        mapper.undo_sync(&mut ctx, &edited, &db, &mut design),
+                        "the cutoff sync armed the undo journal"
+                    );
+                } else {
+                    mapper
+                        .sync_design(&mut ctx, &edited, &db, since, false, &mut design)
+                        .expect("mappable");
+                }
+                t.elapsed()
+            };
             let mut step = 0usize;
             g.bench_function(name, |b| {
-                b.iter(|| {
-                    let (node, with) = plan[step % plan.len()];
-                    step += 1;
-                    db.begin_edit();
-                    let mut txn = Transaction::begin(&mut edited, &mut inc);
-                    txn.substitute(node, with);
-                    db.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
-                    let since = txn.min_touched();
-                    // Price the speculative candidate...
-                    mapper
-                        .sync_design(&mut ctx, txn.aig(), &db, since, &mut design)
-                        .expect("mappable");
-                    // ...reject it, and re-sync to the restored graph
-                    // (the SA loop's `resync_edit` after a reject).
-                    txn.rollback();
-                    db.rollback_edit();
-                    mapper
-                        .sync_design(&mut ctx, &edited, &db, since, &mut design)
-                        .expect("mappable");
-                    black_box(ctx.recomputed_rows())
-                })
+                if resync_only {
+                    // Whole plan passes: every sample covers every
+                    // move, so the pair compares like with like.
+                    b.iter_custom(|iters| {
+                        (0..iters)
+                            .flat_map(|_| plan.iter())
+                            .map(|&m| replay(m))
+                            .sum()
+                    })
+                } else {
+                    b.iter(|| {
+                        let m = plan[step % plan.len()];
+                        step += 1;
+                        replay(m)
+                    })
+                }
             });
         }
     }
@@ -619,6 +654,15 @@ fn bench_components(c: &mut Criterion) {
         eprintln!(
             "map_dp_cutoff_ex28: {:.1}x faster than the watermark DP recompute (tracked >= 2x)",
             watermark / cutoff
+        );
+    }
+    if let (Some(recompute), Some(undo)) = (
+        c.median_ns("components", "map_dp_resync_cutoff_plan_ex28"),
+        c.median_ns("components", "map_dp_resync_undo_plan_ex28"),
+    ) {
+        eprintln!(
+            "map_dp_resync_undo_plan_ex28: {:.1}x faster than the cutoff resync (tracked >= 2x)",
+            recompute / undo
         );
     }
     c.save_json(bench_json_path("BENCH_components.json"))

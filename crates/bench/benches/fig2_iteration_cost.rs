@@ -238,7 +238,7 @@ fn bench_fig2(c: &mut Criterion) {
             db.build(&current);
             // Warm the persistent design/STA state once; every
             // measured iteration is then the steady state.
-            let _ = e.evaluate_edit(&current, &EditScope::new(&db, 0), &mut ctx);
+            let _ = e.evaluate_edit(&current, &EditScope::whole_graph(&db), &mut ctx);
             // Full-period LCG so the window start keeps sweeping the
             // whole graph (a plain multiplicative rotation can
             // collapse into a short cycle and flatter the numbers).
@@ -304,7 +304,7 @@ fn bench_fig2(c: &mut Criterion) {
             let mut inc = IncrementalAnalysis::new(&current);
             let mut db = CutDb::new(4, 8);
             db.build(&current);
-            let m0 = e.evaluate_edit(&current, &EditScope::new(&db, 0), &mut ctx);
+            let m0 = e.evaluate_edit(&current, &EditScope::whole_graph(&db), &mut ctx);
             let mut last = (m0.delay, m0.area);
             let mut state = 1u32;
             b.iter(|| {
@@ -362,7 +362,7 @@ fn bench_fig2(c: &mut Criterion) {
                     inc = IncrementalAnalysis::new(&current);
                     db = CutDb::new(4, 8);
                     db.build(&current);
-                    let _ = e.evaluate_edit(&current, &EditScope::new(&db, 0), &mut ctx);
+                    let _ = e.evaluate_edit(&current, &EditScope::whole_graph(&db), &mut ctx);
                 }
                 last = (m.delay, m.area);
                 last
@@ -380,16 +380,25 @@ fn bench_fig2(c: &mut Criterion) {
             let mut inc = IncrementalAnalysis::new(&current);
             let mut db = CutDb::new(4, 8);
             db.build(&current);
+            // `since: None` declares the whole graph suspect (first
+            // sync, compaction sweep).
             let warm = |current: &aig::Aig,
                         db: &CutDb,
-                        since: u32,
+                        since: Option<u32>,
                         mctx: &mut MapContext,
                         design: &mut MappedDesign,
                         ista: &mut IncrementalSta,
                         seeds: &mut Vec<GateId>|
              -> (f64, f64) {
                 let rebuilt = mapper
-                    .sync_design(mctx, current, db, since, design)
+                    .sync_design(
+                        mctx,
+                        current,
+                        db,
+                        since.unwrap_or(0),
+                        since.is_none(),
+                        design,
+                    )
                     .expect("mappable");
                 if rebuilt {
                     design.finish_full(&sizing);
@@ -405,7 +414,7 @@ fn bench_fig2(c: &mut Criterion) {
             let mut last = warm(
                 &current,
                 &db,
-                0,
+                None,
                 &mut mctx,
                 &mut design,
                 &mut ista,
@@ -462,7 +471,7 @@ fn bench_fig2(c: &mut Criterion) {
                 last = warm(
                     &current,
                     &db,
-                    since,
+                    Some(since),
                     &mut mctx,
                     &mut design,
                     &mut ista,
@@ -476,7 +485,7 @@ fn bench_fig2(c: &mut Criterion) {
                     let _ = warm(
                         &current,
                         &db,
-                        0,
+                        None,
                         &mut mctx,
                         &mut design,
                         &mut ista,

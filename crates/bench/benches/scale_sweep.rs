@@ -177,7 +177,7 @@ fn bench_scale(c: &mut Criterion) {
         let mut inc = IncrementalAnalysis::new(&current);
         let mut db = CutDb::new(4, 8);
         db.build(&current);
-        let _ = e.evaluate_edit(&current, &EditScope::new(&db, 0), &mut ctx);
+        let _ = e.evaluate_edit(&current, &EditScope::whole_graph(&db), &mut ctx);
 
         // Deterministic counter walk: a fixed-length accepted-append
         // trajectory, accumulating the DP rows each incremental
@@ -219,7 +219,7 @@ fn bench_scale(c: &mut Criterion) {
                     current = current.sweep();
                     inc.rebuild(&current);
                     db.build(&current);
-                    let _ = e.evaluate_edit(&current, &EditScope::new(&db, 0), &mut ctx);
+                    let _ = e.evaluate_edit(&current, &EditScope::whole_graph(&db), &mut ctx);
                 }
                 m
             })

@@ -70,6 +70,13 @@ impl Bencher {
         }
         self.elapsed = start.elapsed();
     }
+
+    /// Hands `routine` the iteration count and records the time it
+    /// returns (criterion's `iter_custom`): for routines that time
+    /// only part of each iteration, leaving set-up steps untimed.
+    pub fn iter_custom<F: FnMut(u64) -> Duration>(&mut self, mut routine: F) {
+        self.elapsed = routine(self.iters);
+    }
 }
 
 fn env_ms(name: &str, default: u64) -> u64 {

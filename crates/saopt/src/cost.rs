@@ -19,26 +19,43 @@ pub struct EditScope<'a> {
     /// Live cut database of the edited graph.
     pub cuts: &'a CutDb,
     /// Watermark: every per-node quantity below this id is unchanged
-    /// since the evaluator's previous call. `0` declares the whole
-    /// graph suspect (whole-graph accept, compaction sweep, slot
-    /// re-clone).
+    /// since the evaluator's previous call, and node ids are stable.
+    /// `0` is an ordinary watermark (an edit touching the constant
+    /// node); it does *not* declare the whole graph suspect — that is
+    /// [`EditScope::whole_graph`]'s job.
     pub dirty_since: NodeId,
+    /// Every per-node quantity is suspect, node identities included:
+    /// a whole-graph accept replaced the graph, a compaction sweep
+    /// re-ranked its ids, or a replica was re-cloned. Forces every
+    /// stateful evaluator onto its rebuild path.
+    pub whole_graph: bool,
     /// The edit's merged dirty footprint plus the engine's live
     /// [`IncrementalAnalysis`], when the caller maintains them.
     /// Evaluators with per-node *delta* state ([`MlCost`]'s
-    /// [`IncrementalFeatures`]) consume this; `None` — or a zero
-    /// watermark — forces their full-recompute path. Watermark-based
-    /// evaluators ([`GroundTruthCost`]) ignore it.
+    /// [`IncrementalFeatures`]) consume this; `None` — or
+    /// `whole_graph` — forces their full-recompute path.
+    /// Watermark-based evaluators ([`GroundTruthCost`]) ignore it.
     pub delta: Option<(&'a DirtyRegion, &'a IncrementalAnalysis)>,
 }
 
 impl<'a> EditScope<'a> {
-    /// Scope with the watermark hint only.
+    /// Scope with the watermark hint only (ids stable).
     pub fn new(cuts: &'a CutDb, dirty_since: NodeId) -> Self {
         EditScope {
             cuts,
             dirty_since,
+            whole_graph: false,
             delta: None,
+        }
+    }
+
+    /// Scope declaring the whole graph suspect (see
+    /// [`EditScope::whole_graph`]): evaluators rebuild their per-node
+    /// state.
+    pub fn whole_graph(cuts: &'a CutDb) -> Self {
+        EditScope {
+            whole_graph: true,
+            ..EditScope::new(cuts, 0)
         }
     }
 
@@ -103,14 +120,21 @@ pub trait CostEvaluator {
     /// Notifies an evaluator with per-node state that the graph it
     /// just priced through [`CostEvaluator::evaluate_edit`] was
     /// rolled back: `aig` is the restored graph and `scope` describes
-    /// the rejected edit against it (restored cut database, same
-    /// watermark, and — on the engine path — the move's captured
-    /// footprint over the *restored* analysis). Stateful evaluators
-    /// re-sync their state to the restored graph *now* (cost bounded
-    /// by the edit), so watermarks never accumulate across a long
-    /// reject streak into a whole-graph recompute. Results are
-    /// unaffected — state is pure w.r.t. the graph — so the default
-    /// is a no-op.
+    /// the rejected edit against it (restored cut database, the
+    /// move's watermark, and — on the engine path — the move's
+    /// captured footprint over the *restored* analysis). Stateful
+    /// evaluators re-sync their state to the restored graph *now*
+    /// (cost bounded by the edit), so watermarks never accumulate
+    /// across a long reject streak into a whole-graph recompute.
+    ///
+    /// Journal contract: an evaluator may undo from a journal its
+    /// previous call wrote ([`GroundTruthCost`] does), so the call
+    /// must follow the `evaluate_edit` of the rolled-back edit
+    /// *immediately* on the same evaluator — the journal is armed
+    /// only by that call and disarmed by any other. Without an armed
+    /// journal the evaluator recomputes instead. Results are
+    /// unaffected either way — state is pure w.r.t. the graph — so
+    /// the default is a no-op.
     fn resync_edit(&mut self, _aig: &Aig, _scope: &EditScope<'_>, _ctx: &mut EvalContext) {}
 
     /// Whether the speculative engine must call
@@ -186,6 +210,17 @@ impl CostEvaluator for ProxyCost {
 /// STA are all bounded by the edit's footprint — while the metrics
 /// stay bit-identical to the full pipeline (the differential suite
 /// asserts this on random edit walks).
+///
+/// Rejected in-place steps are **undone, not recomputed**: a
+/// per-row-cutoff `evaluate_edit` journals the old value of every DP
+/// entry it overwrites, and the immediately following
+/// [`CostEvaluator::resync_edit`] replays that journal backwards,
+/// patches the design over exactly the restored rows and re-runs
+/// incremental sizing and STA over the patch
+/// ([`Mapper::undo_sync`]). The journal is armed only by the
+/// immediately preceding cutoff-path `evaluate_edit`; any other call
+/// disarms it, and `resync_edit` then falls back to the incremental
+/// recompute (bit-identical, the test oracle).
 pub struct GroundTruthCost<'a> {
     lib: &'a Library,
     mapper: Mapper<'a>,
@@ -267,9 +302,30 @@ impl<'a> GroundTruthCost<'a> {
     }
 
     /// DP rows the mapper recomputed in the most recent evaluation
-    /// (see [`MapContext::recomputed_rows`]).
+    /// (see [`MapContext::recomputed_rows`]); `0` after an undone
+    /// reject.
     pub fn dp_recomputed_rows(&self) -> usize {
         self.map_ctx.recomputed_rows()
+    }
+
+    /// The mapper's context (read-only; for state inspection such as
+    /// [`MapContext::dp_snapshot`]).
+    pub fn map_context(&self) -> &MapContext {
+        &self.map_ctx
+    }
+
+    /// Re-sizes the last patch's footprint and re-propagates arrivals
+    /// over it (the incremental tail of an in-place step).
+    fn finish_patch(&mut self) {
+        self.sta_seeds.clear();
+        self.design
+            .finish_incremental(&self.sizing, &mut self.sta_seeds);
+        self.inc_sta.update(
+            self.design.netlist(),
+            self.lib,
+            self.design.topo_keys(),
+            &self.sta_seeds,
+        );
     }
 }
 
@@ -312,6 +368,7 @@ impl CostEvaluator for GroundTruthCost<'_> {
                 aig,
                 scope.cuts,
                 scope.dirty_since,
+                scope.whole_graph,
                 &mut self.design,
             )
             .expect("builtin library maps every strashed AIG");
@@ -320,15 +377,7 @@ impl CostEvaluator for GroundTruthCost<'_> {
             self.inc_sta
                 .build(self.design.netlist(), self.lib, self.design.topo_keys());
         } else {
-            self.sta_seeds.clear();
-            self.design
-                .finish_incremental(&self.sizing, &mut self.sta_seeds);
-            self.inc_sta.update(
-                self.design.netlist(),
-                self.lib,
-                self.design.topo_keys(),
-                &self.sta_seeds,
-            );
+            self.finish_patch();
         }
         let nl = self.design.netlist();
         CostMetrics {
@@ -338,11 +387,22 @@ impl CostEvaluator for GroundTruthCost<'_> {
     }
 
     /// Re-syncs the persistent design to the rolled-back graph
-    /// immediately (cost bounded by the rejected edit), so the SA
-    /// loop's watermark never degrades toward a whole-graph DP
-    /// recompute across reject streaks.
+    /// immediately, so the SA loop's watermark never degrades toward
+    /// a whole-graph DP recompute across reject streaks. With the
+    /// journal armed by the immediately preceding cutoff-path
+    /// `evaluate_edit`, the DP state is undone from it (zero rows
+    /// recomputed; cost bounded by what the edit wrote); otherwise
+    /// the rows are recomputed through `evaluate_edit`.
     fn resync_edit(&mut self, aig: &Aig, scope: &EditScope<'_>, ctx: &mut EvalContext) {
-        let _ = self.evaluate_edit(aig, scope, ctx);
+        let undone = !scope.whole_graph
+            && self
+                .mapper
+                .undo_sync(&mut self.map_ctx, aig, scope.cuts, &mut self.design);
+        if undone {
+            self.finish_patch();
+        } else {
+            let _ = self.evaluate_edit(aig, scope, ctx);
+        }
     }
 
     /// Forks share the library and mapping options and *clone the
@@ -433,7 +493,7 @@ impl CostEvaluator for MlCost<'_> {
         _ctx: &mut EvalContext,
     ) -> CostMetrics {
         match scope.delta {
-            Some((region, analysis)) if scope.dirty_since > 0 && self.feats.is_valid() => {
+            Some((region, analysis)) if !scope.whole_graph && self.feats.is_valid() => {
                 self.feats.sync(aig, region, analysis);
             }
             _ => self.feats.rebuild(aig),

@@ -323,13 +323,13 @@ pub fn optimize_with(
     // in-place use and re-synced after whole-graph accepts.
     let mut engine = ctx.take_engine();
     let mut engine_synced = false;
-    // First node id whose evaluator-side per-node state (mapper DP
-    // rows, the persistent mapped design) may disagree with
-    // `current`. Rejected in-place moves re-sync the evaluator
-    // immediately (`CostEvaluator::resync_edit`), so on the engine
-    // path this stays `MAX`; whole-graph evaluations leave rows of a
-    // different graph entirely and reset it to 0.
-    let mut rows_since: NodeId = 0;
+    // Whether the evaluator-side per-node state (mapper DP rows, the
+    // persistent mapped design, feature mirrors) may describe another
+    // graph or other ids than `current`. Rejected in-place moves
+    // re-sync the evaluator immediately (`CostEvaluator::resync_edit`),
+    // so on the engine path the state then matches `current`;
+    // whole-graph evaluations and compaction sweeps set the flag.
+    let mut state_suspect = true;
     // A rejected move's footprint, captured before the rollback so
     // delta-based evaluators can re-sync over exactly the nodes the
     // rollback restored (the buffer is reused across iterations).
@@ -362,8 +362,12 @@ pub fn optimize_with(
                 let mut txn = Transaction::begin(&mut current, inc);
                 run_inplace_plan(plan, &mut txn, db, ctx.resynth(), start, None);
                 let move_min = txn.min_touched();
-                let scope = EditScope::new(db, rows_since.min(move_min))
-                    .with_delta(txn.touched_region(), txn.analysis());
+                let scope = if state_suspect {
+                    EditScope::whole_graph(db)
+                } else {
+                    EditScope::new(db, move_min)
+                }
+                .with_delta(txn.touched_region(), txn.analysis());
                 metrics = evaluator.evaluate_edit(txn.aig(), &scope, ctx);
                 cost = scalar(&metrics);
                 accept = metropolis(cost - current_cost, temp, &mut rng);
@@ -382,12 +386,14 @@ pub fn optimize_with(
                     // Bring stateful evaluators back to `current` now
                     // (cost bounded by the rejected edit), instead of
                     // letting watermarks accumulate toward a
-                    // whole-graph DP recompute.
-                    let scope =
-                        EditScope::new(db, rows_since.min(move_min)).with_delta(&move_region, inc);
+                    // whole-graph DP recompute. `evaluate_edit` just
+                    // synced the state to the edited graph, which
+                    // differs from `current` only inside the move's
+                    // footprint — ids stable.
+                    let scope = EditScope::new(db, move_min).with_delta(&move_region, inc);
                     evaluator.resync_edit(&current, &scope, ctx);
                 }
-                rows_since = NodeId::MAX; // rows now match `current`
+                state_suspect = false; // state now matches `current`
             }
             _ => {
                 // The whole-graph path: recipes without an in-place
@@ -413,7 +419,7 @@ pub fn optimize_with(
                     current = candidate;
                     engine_synced = false;
                 }
-                rows_since = 0;
+                state_suspect = true;
             }
         }
         evaluated.push(metrics);
@@ -431,7 +437,7 @@ pub fn optimize_with(
             if should_compact(it, &current) {
                 current = current.sweep();
                 engine_synced = false;
-                rows_since = 0;
+                state_suspect = true;
             }
         }
         temp *= opts.decay;

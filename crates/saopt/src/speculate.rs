@@ -137,15 +137,19 @@ pub(crate) struct SpecSlot {
     /// a slot whose content belongs to a previous run (full resync on
     /// first use).
     epoch: usize,
-    /// Evaluator-state watermark of the slot's *forked* evaluator
-    /// (mirrors the serial loop's `rows_since`).
+    /// Evaluator-state watermark of the slot's *forked* evaluator:
+    /// every per-node quantity below it matches the replica.
     rows_since: NodeId,
+    /// The forked evaluator's state may describe another graph or
+    /// other ids than the replica (fresh fork, re-clone, whole-graph
+    /// score) — the serial loop's `state_suspect`.
+    state_suspect: bool,
     /// Replica churn a *delta-based* evaluator
     /// ([`CostEvaluator::wants_rollback_resync`]) has not absorbed
     /// yet: the footprints of commit-log replays since the
     /// evaluator's last resync. Merged into the next score's
     /// [`EditScope::delta`] region; cleared by the rollback resync
-    /// and by every whole-graph resync point (`rows_since = 0`).
+    /// and by every whole-graph resync point (`state_suspect`).
     pending: DirtyRegion,
     /// Scratch for the merged scope region (pending ∪ move
     /// footprint); a field so the allocation is reused across scores.
@@ -160,7 +164,8 @@ impl SpecSlot {
             db: CutDb::new(INPLACE_CUT_SIZE, INPLACE_MAX_CUTS),
             ctx: EvalContext::with_shared(resynth),
             epoch: usize::MAX,
-            rows_since: 0,
+            rows_since: NodeId::MAX,
+            state_suspect: true,
             pending: DirtyRegion::default(),
             scope_region: DirtyRegion::default(),
         }
@@ -514,8 +519,8 @@ fn sync_slot(
         slot.replica.clone_from(master);
         slot.inc.clone_from(master_inc);
         slot.db.clone_from(master_db);
-        slot.rows_since = 0;
-        slot.pending.clear(); // zero watermark already forces a rebuild
+        slot.state_suspect = true;
+        slot.pending.clear(); // a suspect state already forces a rebuild
     }
     slot.epoch = log.len();
     debug_assert_eq!(slot.replica.num_nodes(), master.num_nodes());
@@ -551,8 +556,12 @@ fn score_one(
             slot.scope_region.merge(&slot.pending);
             slot.scope_region.merge(txn.touched_region());
             let since = slot.rows_since.min(move_min);
-            let scope =
-                EditScope::new(&slot.db, since).with_delta(&slot.scope_region, txn.analysis());
+            let scope = if slot.state_suspect {
+                EditScope::whole_graph(&slot.db)
+            } else {
+                EditScope::new(&slot.db, since)
+            }
+            .with_delta(&slot.scope_region, txn.analysis());
             let metrics = eval.evaluate_edit(txn.aig(), &scope, &mut slot.ctx);
             txn.rollback();
             slot.db.rollback_edit();
@@ -578,6 +587,7 @@ fn score_one(
             // the next score. One evaluator pass per speculated move
             // instead of two.
             slot.rows_since = move_min;
+            slot.state_suspect = false;
             Scored {
                 metrics,
                 ops,
@@ -588,8 +598,8 @@ fn score_one(
         None => {
             let candidate = actions[planned.ridx].apply_with(&slot.replica, slot.ctx.resynth());
             let metrics = eval.evaluate_ctx(&candidate, &mut slot.ctx);
-            slot.rows_since = 0;
-            slot.pending.clear(); // zero watermark forces a rebuild
+            slot.state_suspect = true;
+            slot.pending.clear(); // a suspect state forces a rebuild
             Scored {
                 metrics,
                 ops: Vec::new(),

@@ -71,10 +71,9 @@ enum ShapeFit {
     /// row bit-exactly. The patch retires the dropped rows' gates
     /// through the normal release cascade and truncates the tables
     /// afterwards ([`MappedDesign::shrink`]) — footprint-bounded,
-    /// no rebuild. Requires a nonzero watermark: a compaction sweep
-    /// also shrinks the node count but *re-ranks* ids, which only
-    /// the watermark reset (`dirty_since == 0`) distinguishes, so
-    /// [`Mapper::sync_design`] demotes that case to `Fresh`.
+    /// no rebuild. A compaction sweep also shrinks the node count but
+    /// *re-ranks* ids; its caller says so through
+    /// [`Mapper::sync_design`]'s `whole_graph` flag, which rebuilds.
     Shrunk,
     /// Uninitialized, invalidated, or the graph changed
     /// incompatibly: full rebuild.
@@ -265,8 +264,8 @@ impl MappedDesign {
             ShapeFit::Grown
         } else if now.0 < self.shape.0 && now.1 == self.shape.1 && now.2 == self.shape.2 {
             // Only nodes disappeared, off the top: the rollback of a
-            // rejected append (sweeps re-rank ids and are demoted to
-            // `Fresh` by the watermark gate in `sync_design`).
+            // rejected append (sweeps re-rank ids; their callers pass
+            // `whole_graph` to `sync_design`, which rebuilds).
             ShapeFit::Shrunk
         } else {
             ShapeFit::Fresh
@@ -804,6 +803,18 @@ impl Mapper<'_> {
     /// **not** a rebuild: the tables extend in place and the sync
     /// stays on the incremental pipeline.
     ///
+    /// `whole_graph` declares every per-node quantity suspect, node
+    /// identities included — a compaction sweep re-ranked the ids, or
+    /// the context and design last described another graph: every DP
+    /// row is recomputed and the design rebuilt. It is a flag of its
+    /// own, not watermark `0`: an edit touching the constant node has
+    /// watermark `0` yet keeps every id stable, and a rolled-back
+    /// append under it stays on the footprint-bounded patch.
+    ///
+    /// A per-row-cutoff sync also arms the context's undo journal:
+    /// if the edit is then rolled back, [`Mapper::undo_sync`] restores
+    /// the pre-edit rows and design from it instead of recomputing.
+    ///
     /// The live netlist mirrors [`Mapper::map_incremental`]'s output
     /// gate-for-gate (slot numbering aside): same cells, same
     /// connectivity, same shared inverters — so its fixed-point loads,
@@ -820,8 +831,13 @@ impl Mapper<'_> {
         aig: &Aig,
         cuts: &CutDb,
         dirty_since: NodeId,
+        whole_graph: bool,
         design: &mut MappedDesign,
     ) -> Result<bool, MapError> {
+        if whole_graph {
+            design.invalidate();
+            ctx.invalidate_rows();
+        }
         let fit = design.shape_fit(aig);
         let since = match self.dp_update(ctx, aig, cuts, dirty_since) {
             Ok(since) => since,
@@ -840,21 +856,23 @@ impl Mapper<'_> {
                 design.grow(aig);
                 (false, since)
             }
-            ShapeFit::Shrunk if dirty_since > 0 => {
+            ShapeFit::Shrunk => {
                 // Rejected append rolled back: the tables stay at the
                 // recorded (larger) size through the patch — the
                 // release cascade reads the dropped rows' emitted
                 // keys — and are truncated right after it.
                 (false, since)
             }
-            ShapeFit::Shrunk | ShapeFit::Fresh => {
-                // A zero watermark under a shrink is a compaction
-                // sweep: ids were re-ranked, the tables describe
-                // other nodes — rebuild.
+            ShapeFit::Fresh => {
                 design.reset(aig, self.library());
                 (true, 0)
             }
         };
+        if fresh {
+            ctx.disarm_journal();
+        } else {
+            ctx.arm_journal();
+        }
         design.begin_sync();
         design.apply_rows(ctx, aig, self.library(), since);
         if fit == ShapeFit::Shrunk && !fresh {
@@ -863,5 +881,53 @@ impl Mapper<'_> {
         // The design now mirrors every accumulated row change.
         ctx.consume_changed_rows();
         Ok(fresh)
+    }
+
+    /// Undoes the immediately preceding [`Mapper::sync_design`] after
+    /// its edit was rolled back: replays the context's undo journal
+    /// backwards — restoring every DP row, fanout count, version
+    /// snapshot entry, adjacency edge and unmatchable-row mark the
+    /// sync overwrote — and patches `design` back over exactly the
+    /// rows whose emitted choice the sync changed, recording the
+    /// footprint in [`MappedDesign::changed_gates`] /
+    /// [`MappedDesign::touched_nets`] for the incremental sizing and
+    /// STA passes. Costs O(what the edit wrote) and recomputes no DP
+    /// row.
+    ///
+    /// The journal is armed only by a per-row-cutoff `sync_design`
+    /// (not a rebuild) and disarmed by every other call on the
+    /// context, this one included. `aig` and `cuts` must be the
+    /// rolled-back graph and database ([`aig::cut::CutDb::rollback_edit`]
+    /// restores versions exactly) and `design` the one that sync
+    /// patched. Returns `false` — touching nothing — when no journal
+    /// is armed, the design's shape does not fit a rollback, or the
+    /// journal does not match `aig`/`cuts`; the caller then falls
+    /// back to `sync_design`, whose result is bit-identical.
+    pub fn undo_sync(
+        &self,
+        ctx: &mut MapContext,
+        aig: &Aig,
+        cuts: &CutDb,
+        design: &mut MappedDesign,
+    ) -> bool {
+        // The design must mirror the journaled sync's (edited) rows.
+        let fit = design.shape_fit(aig);
+        if !matches!(fit, ShapeFit::Exact | ShapeFit::Shrunk)
+            || ctx.rows_for() != Some(design.shape.0)
+        {
+            ctx.disarm_journal();
+            return false;
+        }
+        if !ctx.undo_dp(self.instance_id(), aig, cuts) {
+            return false;
+        }
+        design.begin_sync();
+        // The changed-row record is exact: the watermark is unused.
+        design.apply_rows(ctx, aig, self.library(), 0);
+        if fit == ShapeFit::Shrunk {
+            design.shrink(aig.num_nodes());
+        }
+        ctx.consume_changed_rows();
+        true
     }
 }

@@ -18,7 +18,8 @@
 //! The incremental timing engine builds on top: a [`MappedDesign`]
 //! keeps one tracking-enabled [`Netlist`] alive across in-place SA
 //! steps ([`Mapper::sync_design`] patches it to follow the refreshed
-//! DP rows), [`SizingTable`] + [`resize_greedy_incremental`] re-run
+//! DP rows, and [`Mapper::undo_sync`] restores rows and design from a
+//! journal when the edit is rolled back), [`SizingTable`] + [`resize_greedy_incremental`] re-run
 //! the greedy sizing passes as worklists over the patch footprint,
 //! and the `sta` crate's `IncrementalSta` re-propagates arrivals over
 //! the dirty cone — all bit-identical to the full pipeline.
@@ -56,7 +57,7 @@ mod sizing;
 mod verilog;
 
 pub use design::MappedDesign;
-pub use mapper::{MapContext, MapError, MapGoal, MapOptions, Mapper};
+pub use mapper::{DpSnapshot, MapContext, MapError, MapGoal, MapOptions, Mapper};
 pub use matcher::{CellMatch, Matcher};
 pub use netlist::{Gate, GateId, NetDriver, NetId, Netlist, OutputPort, Sink};
 pub use pool::MapPool;

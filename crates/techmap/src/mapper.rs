@@ -276,6 +276,69 @@ pub struct MapContext {
     remove_cnt: Vec<u32>,
     /// DP rows actually recomputed by the last mapping call.
     last_recomputed_rows: usize,
+    /// Undo record of the last [`Mapper::sync_design`] DP pass (see
+    /// [`Mapper::undo_sync`]).
+    journal: DpJournal,
+}
+
+/// Undo record of one per-row-cutoff [`Mapper::dp_update`]: the old
+/// value of every context entry the pass overwrote, so a rejected
+/// edit's DP state is restored in O(what the edit wrote) instead of
+/// recomputed ([`Mapper::undo_sync`]). Entries of ids at or above the
+/// pre-edit node count are not recorded — undo truncates them.
+#[derive(Debug, Default)]
+struct DpJournal {
+    /// The record is complete and belongs to the context's most
+    /// recent call, a cutoff-path [`Mapper::sync_design`]. Every
+    /// other entry point clears it.
+    armed: bool,
+    /// The current `dp_update` writes the record.
+    recording: bool,
+    /// [`CutDb::instance_id`] of the recorded pass's database.
+    db: u64,
+    /// `rows_for` / `seen_db` before the pass (the pre-edit shape).
+    rows_for: Option<usize>,
+    seen_db: Option<u64>,
+    /// Overwritten DP rows `(id, chosen, arrival, flow)`.
+    rows: Vec<(NodeId, Option<Chosen>, f64, f64)>,
+    /// Overwritten fanout counts.
+    fanout: Vec<(NodeId, u32)>,
+    /// Overwritten `seen_versions` entries.
+    versions: Vec<(NodeId, u64)>,
+    /// Overwritten `prev_fanins` entries.
+    fanins: Vec<(NodeId, [Lit; 2])>,
+    /// Consumer-list edits in order: `(list, reader, pushed)`.
+    consumers: Vec<(NodeId, NodeId, bool)>,
+    /// `none_rows` edits in order: `(id, inserted)`.
+    none_rows: Vec<(NodeId, bool)>,
+    /// Rows whose emitted choice the pass changed (the exact set the
+    /// undo hands to the design patch).
+    changed: Vec<NodeId>,
+}
+
+impl DpJournal {
+    /// Drops the record (the next undo falls back to a recompute).
+    fn disarm(&mut self) {
+        self.armed = false;
+        self.recording = false;
+    }
+
+    /// Starts recording a pass over a context currently holding rows
+    /// for `rows_for` nodes against `seen_db`.
+    fn begin(&mut self, db: u64, rows_for: Option<usize>, seen_db: Option<u64>) {
+        self.armed = false;
+        self.recording = true;
+        self.db = db;
+        self.rows_for = rows_for;
+        self.seen_db = seen_db;
+        self.rows.clear();
+        self.fanout.clear();
+        self.versions.clear();
+        self.fanins.clear();
+        self.consumers.clear();
+        self.none_rows.clear();
+        self.changed.clear();
+    }
 }
 
 /// Marks the nodes reachable from the outputs into `live`.
@@ -383,6 +446,177 @@ impl MapContext {
         self.changed_rows_exact = true;
         self.changed_since = NodeId::MAX;
     }
+
+    /// Node count the DP rows are valid for (`None` before the first
+    /// successful map or after an error).
+    pub(crate) fn rows_for(&self) -> Option<usize> {
+        self.rows_for
+    }
+
+    /// Forgets the DP rows (and the undo journal): the next
+    /// incremental pass recomputes every row from scratch.
+    pub(crate) fn invalidate_rows(&mut self) {
+        self.rows_for = None;
+        self.seen_db = None;
+        self.journal.disarm();
+    }
+
+    /// Drops the undo journal: the next [`Mapper::undo_sync`] declines.
+    pub(crate) fn disarm_journal(&mut self) {
+        self.journal.disarm();
+    }
+
+    /// Arms the undo journal the last `dp_update` recorded, just
+    /// before a design applies (and consumes) its changed rows.
+    /// Declines when the pass did not record or the changed-row
+    /// record is not exact.
+    pub(crate) fn arm_journal(&mut self) {
+        let j = &mut self.journal;
+        j.armed = std::mem::replace(&mut j.recording, false) && self.changed_rows_exact;
+        if j.armed {
+            j.changed.clear();
+            j.changed.extend_from_slice(&self.changed_rows);
+        }
+    }
+
+    /// Replays the armed journal backwards, restoring the DP state the
+    /// journaled pass started from, and loads the pass's changed rows
+    /// as the exact changed-row record for the design patch. `aig`
+    /// and `cuts` must be the rolled-back graph and database; the
+    /// journal is checked against them first (mapper, database
+    /// identity, node count, restored versions and fanins), and on
+    /// any mismatch nothing is touched and `false` is returned. The
+    /// journal is consumed either way.
+    pub(crate) fn undo_dp(&mut self, mapper_id: u64, aig: &Aig, cuts: &CutDb) -> bool {
+        let j = &mut self.journal;
+        let armed = std::mem::replace(&mut j.armed, false);
+        j.recording = false;
+        let Some(n) = j.rows_for else {
+            return false;
+        };
+        let valid = armed
+            && self.fingerprint == Some(mapper_id)
+            && cuts.instance_id() == j.db
+            && aig.num_nodes() == n
+            && cuts.num_nodes() == n
+            && j.versions.iter().all(|&(id, v)| cuts.version(id) == v)
+            && j.fanins
+                .iter()
+                .all(|&(id, f)| aig.is_and(id) && aig.fanins(id) == f);
+        if !valid {
+            return false;
+        }
+        for &(id, c, a, f) in j.rows.iter().rev() {
+            let vi = id as usize;
+            self.chosen[vi] = c;
+            self.arrival[vi] = a;
+            self.flow[vi] = f;
+        }
+        for &(id, fo) in j.fanout.iter().rev() {
+            self.fanout[id as usize] = fo;
+        }
+        for &(id, v) in j.versions.iter().rev() {
+            self.seen_versions[id as usize] = v;
+        }
+        for &(id, f) in j.fanins.iter().rev() {
+            self.prev_fanins[id as usize] = f;
+        }
+        // Consumer lists are restored as multisets: their order never
+        // reaches a result (the worklist is a keyed heap).
+        for &(list, reader, pushed) in j.consumers.iter().rev() {
+            let c = &mut self.consumers[list as usize];
+            if pushed {
+                let pos = c
+                    .iter()
+                    .rposition(|&r| r == reader)
+                    .expect("journaled consumer edge present");
+                c.swap_remove(pos);
+            } else {
+                c.push(reader);
+            }
+        }
+        for &(id, inserted) in j.none_rows.iter().rev() {
+            match (inserted, self.none_rows.binary_search(&id)) {
+                (true, Ok(pos)) => {
+                    self.none_rows.remove(pos);
+                }
+                (false, Err(pos)) => self.none_rows.insert(pos, id),
+                _ => unreachable!("journaled none-row edit out of sync"),
+            }
+        }
+        self.chosen.truncate(n);
+        self.arrival.truncate(n);
+        self.flow.truncate(n);
+        self.fanout.truncate(n);
+        self.seen_versions.truncate(n);
+        self.consumers.truncate(n);
+        self.prev_fanins.truncate(n);
+        self.rows_for = j.rows_for;
+        self.seen_db = j.seen_db;
+        self.last_recomputed_rows = 0;
+        self.changed_rows.clear();
+        self.changed_rows
+            .extend(j.changed.iter().copied().filter(|&id| (id as usize) < n));
+        self.changed_rows_exact = true;
+        self.changed_since = NodeId::MAX;
+        true
+    }
+
+    /// A comparable copy of the incremental DP state: the rows
+    /// (bitwise), fanout counts, version snapshot, unmatchable set,
+    /// fanin baseline and consumer adjacency (as sorted multisets —
+    /// list order never reaches a result). Two contexts with equal
+    /// snapshots make identical incremental decisions; the undo
+    /// differential suite compares them across reject round trips.
+    pub fn dp_snapshot(&self) -> DpSnapshot {
+        let n = self.rows_for.unwrap_or(0);
+        let rows = (0..n.min(self.chosen.len()))
+            .map(|i| {
+                let key = self.chosen[i].map(|c| {
+                    let mut leaves = [NodeId::MAX; 4];
+                    leaves[..c.leaves.len as usize].copy_from_slice(c.leaves.as_slice());
+                    (c.m, leaves, c.arrival_ps.to_bits(), c.area_flow.to_bits())
+                });
+                (key, self.arrival[i].to_bits(), self.flow[i].to_bits())
+            })
+            .collect();
+        let consumers = self
+            .consumers
+            .iter()
+            .take(n)
+            .map(|c| {
+                let mut c = c.clone();
+                c.sort_unstable();
+                c
+            })
+            .collect();
+        DpSnapshot {
+            rows_for: self.rows_for,
+            rows,
+            fanout: self.fanout.iter().take(n).copied().collect(),
+            seen_versions: self.seen_versions.iter().take(n).copied().collect(),
+            none_rows: self.none_rows.clone(),
+            prev_fanins: self.prev_fanins.iter().take(n).copied().collect(),
+            consumers,
+        }
+    }
+}
+
+/// Row key of a [`DpSnapshot`]: the chosen match with its leaves and
+/// score bits, then the `arrival`/`flow` table bits.
+type RowBits = (Option<(CellMatch, [NodeId; 4], u64, u64)>, u64, u64);
+
+/// Bitwise copy of a [`MapContext`]'s incremental DP state, from
+/// [`MapContext::dp_snapshot`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DpSnapshot {
+    rows_for: Option<usize>,
+    rows: Vec<RowBits>,
+    fanout: Vec<u32>,
+    seen_versions: Vec<u64>,
+    none_rows: Vec<NodeId>,
+    prev_fanins: Vec<[Lit; 2]>,
+    consumers: Vec<Vec<NodeId>>,
 }
 
 /// A reusable technology mapper bound to a library.
@@ -452,6 +686,11 @@ impl<'a> Mapper<'a> {
         }
     }
 
+    /// The process-unique id keying context memos to this mapper.
+    pub(crate) fn instance_id(&self) -> u64 {
+        self.instance_id
+    }
+
     /// The library this mapper targets.
     pub fn library(&self) -> &Library {
         self.lib
@@ -499,6 +738,7 @@ impl<'a> Mapper<'a> {
             ctx.fingerprint = Some(self.instance_id);
         }
         ctx.rows_for = None;
+        ctx.journal.disarm();
         // Full enumeration bypasses the CutDb, so the version
         // snapshot no longer matches any database: the next
         // incremental call falls back to the watermark sweep. Any
@@ -656,6 +896,11 @@ impl<'a> Mapper<'a> {
     /// at or above the watermark is recomputed and a fresh snapshot
     /// is taken.
     ///
+    /// A cutoff-path (or no-op) pass writes the context's undo
+    /// journal — the old value of every entry it overwrites — which
+    /// only [`Mapper::sync_design`] arms, for [`Mapper::undo_sync`].
+    /// Every pass clears the previous record.
+    ///
     /// **Cutoff invariant (leaf settles before root).** The worklist
     /// is keyed by [`aig::TopoIndex`] position — the identity on
     /// topological graphs, the cached dependency order under
@@ -678,6 +923,7 @@ impl<'a> Mapper<'a> {
         cuts: &CutDb,
         dirty_since: NodeId,
     ) -> Result<NodeId, MapError> {
+        ctx.journal.disarm();
         self.opts.validate()?;
         if cuts.k() != self.opts.cut_size || cuts.max_cuts() != self.opts.max_cuts {
             return Err(MapError::BadOptions(format!(
@@ -735,7 +981,11 @@ impl<'a> Mapper<'a> {
             // applicable rewrite): the graph is unchanged since the
             // previous call, so every row — and the previous call's
             // liveness verdict — still holds. The steady-state
-            // no-op costs O(1), not O(graph).
+            // no-op costs O(1), not O(graph); its undo record is
+            // empty.
+            ctx.last_recomputed_rows = 0;
+            ctx.journal
+                .begin(cuts.instance_id(), ctx.rows_for, ctx.seen_db);
             return Ok(since);
         }
         // Committed forward references: a consumer below the dirty
@@ -757,6 +1007,10 @@ impl<'a> Mapper<'a> {
             && prev_n > 0
             && ctx.seen_db == Some(cuts.instance_id())
             && ctx.seen_versions.len() == prev_n;
+        if cutoff {
+            ctx.journal
+                .begin(cuts.instance_id(), ctx.rows_for, ctx.seen_db);
+        }
         ctx.rows_for = None;
         ctx.seen_db = None;
         ctx.chosen.resize(n, None);
@@ -801,8 +1055,14 @@ impl<'a> Mapper<'a> {
             // to this one.
             ctx.seen_versions.resize(n, 0);
             let lo = if cutoff { since } else { 0 };
+            let journal = &mut ctx.journal;
             for id in lo..n as NodeId {
-                ctx.seen_versions[id as usize] = cuts.version(id);
+                let v = cuts.version(id);
+                let seen = &mut ctx.seen_versions[id as usize];
+                if journal.recording && (id as usize) < prev_n && *seen != v {
+                    journal.versions.push((id, *seen));
+                }
+                *seen = v;
             }
         }
         // Unmatchable rows are rare; liveness (the expensive global
@@ -927,8 +1187,9 @@ impl<'a> Mapper<'a> {
     /// watermark-to-top work left is three sequential scans (version
     /// diff, suffix fanout refresh, fanin diff) of a few bytes per
     /// node. Maintains `none_rows` incrementally and records the
-    /// exact emission-visible changed rows in `changed_rows`. Returns
-    /// the number of rows recomputed.
+    /// exact emission-visible changed rows in `changed_rows`. Writes
+    /// the undo journal when it is recording. Returns the number of
+    /// rows recomputed.
     fn dp_rows_cutoff(
         &self,
         ctx: &mut MapContext,
@@ -938,6 +1199,15 @@ impl<'a> Mapper<'a> {
     ) -> usize {
         let n = aig.num_nodes();
         let s = since as usize;
+        // Journaled ids: the pre-edit rows (appended ones are
+        // truncated by the undo, never restored); none when the
+        // journal is off.
+        let rec = ctx.journal.recording;
+        let keep = if rec {
+            ctx.journal.rows_for.unwrap_or(0)
+        } else {
+            0
+        };
         ctx.row_changed.clear();
         ctx.row_changed.resize(n, false);
         // Suffix fanout refresh: fanout below the watermark is
@@ -972,6 +1242,11 @@ impl<'a> Mapper<'a> {
         ctx.fanout_changed.clear();
         for (i, &fo) in ctx.fanout_scratch.iter().enumerate() {
             if ctx.fanout[s + i] != fo {
+                if s + i < keep {
+                    ctx.journal
+                        .fanout
+                        .push(((s + i) as NodeId, ctx.fanout[s + i]));
+                }
                 ctx.fanout[s + i] = fo;
                 ctx.row_changed[s + i] = true;
                 ctx.fanout_changed.push((s + i) as NodeId);
@@ -1005,6 +1280,12 @@ impl<'a> Mapper<'a> {
             }
             for new in now {
                 ctx.consumers[new.var() as usize].push(id);
+                if (new.var() as usize) < keep {
+                    ctx.journal.consumers.push((new.var(), id, true));
+                }
+            }
+            if vi < keep {
+                ctx.journal.fanins.push((id, prev));
             }
             ctx.prev_fanins[vi] = now;
         }
@@ -1018,10 +1299,14 @@ impl<'a> Mapper<'a> {
                 j += 1;
             }
             let remove_cnt = &mut ctx.remove_cnt;
+            let journal = &mut ctx.journal;
             ctx.consumers[var as usize].retain(|&c| {
                 let cnt = &mut remove_cnt[c as usize];
                 if *cnt > 0 {
                     *cnt -= 1;
+                    if (var as usize) < keep {
+                        journal.consumers.push((var, c, false));
+                    }
                     false
                 } else {
                     true
@@ -1067,6 +1352,7 @@ impl<'a> Mapper<'a> {
             consumers,
             heap,
             queued,
+            journal,
             ..
         } = ctx;
         let enqueue =
@@ -1108,6 +1394,9 @@ impl<'a> Mapper<'a> {
             recomputed += 1;
             let old_arrival = arrival[vi];
             let old_flow = flow[vi];
+            if vi < keep {
+                journal.rows.push((id, chosen[vi], old_arrival, old_flow));
+            }
             let best = self.choose_for_node(id, cut_list, fanout, arrival, flow, shortlists);
             if !emit_eq(&chosen[vi], &best) {
                 changed_rows.push(id);
@@ -1145,9 +1434,15 @@ impl<'a> Mapper<'a> {
             if is_none {
                 if let Err(pos) = none_rows.binary_search(&id) {
                     none_rows.insert(pos, id);
+                    if rec {
+                        journal.none_rows.push((id, true));
+                    }
                 }
             } else if let Ok(pos) = none_rows.binary_search(&id) {
                 none_rows.remove(pos);
+                if rec {
+                    journal.none_rows.push((id, false));
+                }
             }
         }
         recomputed

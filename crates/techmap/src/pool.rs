@@ -75,7 +75,8 @@ impl MapPool {
     }
 
     /// Returns a context to the pool for the next checkout.
-    pub fn put_context(&mut self, ctx: MapContext) {
+    pub fn put_context(&mut self, mut ctx: MapContext) {
+        ctx.disarm_journal();
         self.contexts.push(ctx);
     }
 

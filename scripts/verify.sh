@@ -17,10 +17,11 @@
 #      feature maintenance) >= 5x over their full-recompute
 #      counterparts, batched GBT inference >= 2x over the per-row
 #      tree walk, the accepted fresh-cone append loop >= 2x over the
-#      reset-rebuild policy, and work bounds: the DP rows the cutoff
-#      recomputed on the append replay and the PO features recomputed
-#      on the feature replay must stay well below their fallbacks'
-#      recompute sets;
+#      reset-rebuild policy, the reject resync through the DP undo
+#      journal >= 2x over the per-row-cutoff recompute, and work
+#      bounds: the DP rows the cutoff recomputed on the append replay
+#      and the PO features recomputed on the feature replay must stay
+#      well below their fallbacks' recompute sets;
 #   6. the large-tier scaling-exponent ceilings: per-step DP work on
 #      the size sweep (deterministic counters from BENCH_scale.json)
 #      must grow <= 3x while the design grows 100x (10k -> 1M).
@@ -132,6 +133,13 @@ gates = [
     (comp, "components/cut_enum_full_ex28", "components/cutdb_invalidate_substitute_ex28", 5.0),
     (comp, "components/sta_full_ex28", "components/sta_incr_edit_ex28", 5.0),
     (comp, "components/map_dp_watermark_ex28", "components/map_dp_cutoff_ex28", 2.0),
+    # A rejected edit's resync undone from the journal vs recomputed
+    # through the per-row cutoff, resync time only, summed over whole
+    # plan passes (measured ~40x). The full-step pair
+    # (map_dp_cutoff_ex28 / map_dp_undo_ex28) shares the forward sync,
+    # which bounds its ratio below 2x, and its short samples cover
+    # different plan steps per series, so it is tracked, not gated.
+    (comp, "components/map_dp_resync_cutoff_plan_ex28", "components/map_dp_resync_undo_plan_ex28", 2.0),
     (comp, "components/feat_full_ex28", "components/feat_incr_edit_ex28", 5.0),
     (comp, "components/gbt_scalar_predict", "components/gbt_batch_predict", 2.0),
     # Work-bound: across the incremental feature replay, most per-sync

@@ -236,7 +236,7 @@ fn drive_append_walk(g0: &Aig, seed: u64, steps: usize) -> bool {
     let mut ista = sta::IncrementalSta::new();
     let mut sta_seeds: Vec<techmap::GateId> = Vec::new();
     mapper
-        .sync_design(&mut ctx_d, &g, &db, 0, &mut design)
+        .sync_design(&mut ctx_d, &g, &db, 0, true, &mut design)
         .expect("mappable");
     design.finish_full(&sizing);
     ista.build(design.netlist(), &lib, design.topo_keys());
@@ -289,7 +289,7 @@ fn drive_append_walk(g0: &Aig, seed: u64, steps: usize) -> bool {
         db.assert_matches_fresh(&g);
         // The design follows through the in-place grow path.
         let rebuilt = mapper
-            .sync_design(&mut ctx_d, &g, &db, since, &mut design)
+            .sync_design(&mut ctx_d, &g, &db, since, false, &mut design)
             .expect("mappable");
         assert!(
             !rebuilt,
@@ -467,7 +467,7 @@ fn sync_design_sees_interleaved_map_incremental_changes() {
     let mut ista = sta::IncrementalSta::new();
     let mut sta_seeds: Vec<techmap::GateId> = Vec::new();
     mapper
-        .sync_design(&mut ctx, &g, &db, 0, &mut design)
+        .sync_design(&mut ctx, &g, &db, 0, true, &mut design)
         .expect("mappable");
     design.finish_full(&sizing);
     ista.build(design.netlist(), &lib, design.topo_keys());
@@ -535,7 +535,7 @@ fn sync_design_sees_interleaved_map_incremental_changes() {
             NodeId::MAX
         };
         let rebuilt = mapper
-            .sync_design(&mut ctx, &g, &db, resync_since, &mut design)
+            .sync_design(&mut ctx, &g, &db, resync_since, false, &mut design)
             .expect("mappable");
         // Price the patched design exactly like
         // `GroundTruthCost::evaluate_edit` (full sizing capture only
@@ -669,4 +669,108 @@ fn ground_truth_sa_byte_identical_with_cutoff_on_or_off() {
     assert_eq!(on.evaluated, off.evaluated, "metrics diverged");
     assert_eq!(on.history, off.history, "history diverged");
     assert_eq!(on.accepted, off.accepted);
+}
+
+/// A rejected move that appended a fresh cone *and* touched the
+/// constant node (an output retargeted to a constant) has watermark
+/// `0`, yet keeps every node id stable. Re-syncing the rolled-back
+/// graph must stay on the footprint-bounded patch — no rebuild —
+/// whether the rows are recomputed (`sync_design`) or undone
+/// (`undo_sync`), and the patched design must price bit-identically
+/// to the full map → resize → STA pipeline.
+#[test]
+fn rejected_append_touching_constant_stays_incremental() {
+    let lib = sky130ish();
+    let mapper = Mapper::new(&lib, MapOptions::default());
+    let sizing = techmap::SizingTable::new(&lib);
+    let oracle = |g: &Aig| {
+        let mut nl = mapper.map(g).expect("mappable");
+        techmap::resize_greedy(&mut nl, &lib, 2);
+        sta::delay_and_area(&nl, &lib)
+    };
+    for seed in 0..4u64 {
+        let mut g = random_aig_with(0xC0 ^ seed, 8, 120, 4);
+        let mut inc = IncrementalAnalysis::new(&g);
+        let mut db = CutDb::new(4, 8);
+        db.build(&g);
+        for undo in [false, true] {
+            let mut ctx = MapContext::new();
+            let mut design = techmap::MappedDesign::new();
+            let mut ista = sta::IncrementalSta::new();
+            let mut seeds: Vec<techmap::GateId> = Vec::new();
+            let mut patch = |design: &mut techmap::MappedDesign, ista: &mut sta::IncrementalSta| {
+                seeds.clear();
+                design.finish_incremental(&sizing, &mut seeds);
+                ista.update(design.netlist(), &lib, design.topo_keys(), &seeds);
+                (
+                    ista.max_delay_ps(design.netlist()),
+                    design.netlist().area_um2(&lib),
+                )
+            };
+            assert!(mapper
+                .sync_design(&mut ctx, &g, &db, 0, true, &mut design)
+                .expect("mappable"));
+            design.finish_full(&sizing);
+            ista.build(design.netlist(), &lib, design.topo_keys());
+            // A second sync readies the per-row cutoff (and journal).
+            assert!(!mapper
+                .sync_design(&mut ctx, &g, &db, NodeId::MAX, false, &mut design)
+                .expect("mappable"));
+            patch(&mut design, &mut ista);
+
+            let n = g.num_nodes();
+            db.begin_edit();
+            let mut txn = Transaction::begin(&mut g, &mut inc);
+            let ins: Vec<NodeId> = txn.aig().inputs().to_vec();
+            let mut fresh = None;
+            'pairs: for (i, &a) in ins.iter().enumerate() {
+                for &b in &ins[i + 1..] {
+                    for (ca, cb) in [(false, false), (true, false), (false, true), (true, true)] {
+                        let l = txn.and(Lit::new(a, ca), Lit::new(b, cb));
+                        if l.var() as usize >= n {
+                            fresh = Some(l);
+                            break 'pairs;
+                        }
+                    }
+                }
+            }
+            let fresh = fresh.expect("some input pair is not ANDed yet");
+            txn.retarget_output(0, fresh);
+            txn.retarget_output(1, Lit::FALSE);
+            db.sync_appends(txn.aig());
+            let since = txn.min_touched();
+            assert_eq!(since, 0, "seed {seed}: the move touches the constant node");
+            let rebuilt = mapper
+                .sync_design(&mut ctx, txn.aig(), &db, since, false, &mut design)
+                .expect("mappable");
+            assert!(!rebuilt, "seed {seed}: appended growth extends in place");
+            let edited = patch(&mut design, &mut ista);
+            let (fd, fa) = oracle(txn.aig());
+            assert!(
+                edited.0.to_bits() == fd.to_bits() && edited.1.to_bits() == fa.to_bits(),
+                "seed {seed}: edited design diverged"
+            );
+
+            txn.rollback();
+            db.rollback_edit();
+            assert_eq!(g.num_nodes(), n);
+            let rebuilt = if undo {
+                !mapper.undo_sync(&mut ctx, &g, &db, &mut design)
+            } else {
+                mapper
+                    .sync_design(&mut ctx, &g, &db, since, false, &mut design)
+                    .expect("mappable")
+            };
+            assert!(
+                !rebuilt,
+                "seed {seed} (undo: {undo}): rolled-back append must not rebuild"
+            );
+            let (pd, pa) = patch(&mut design, &mut ista);
+            let (fd, fa) = oracle(&g);
+            assert!(
+                pd.to_bits() == fd.to_bits() && pa.to_bits() == fa.to_bits(),
+                "seed {seed} (undo: {undo}): restored design diverged: {pd}/{pa} vs {fd}/{fa}"
+            );
+        }
+    }
 }

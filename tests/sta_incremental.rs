@@ -111,6 +111,116 @@ fn drive_edit_walk(g0: &Aig, seed: u64, steps: usize) {
     }
 }
 
+/// Walks of in-place moves through the ground-truth evaluator where
+/// most moves are rejected: refactor- and balance-flavour windows,
+/// which append fresh replacement cones, so rejects exercise the
+/// append rollback. After every `resync_edit` the reject must have
+/// been *undone* from the journal — no DP row recomputed and the
+/// mapper's DP state bitwise the pre-edit state — and the next
+/// `evaluate_edit` must price the restored graph exactly like a fresh
+/// full evaluation. Returns `(undone rejects, of which rolled back an
+/// append)`.
+fn drive_undo_walk(g0: &Aig, seed: u64, steps: usize) -> (usize, usize) {
+    let lib = sky130ish();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut g = g0.clone();
+    let mut inc = IncrementalAnalysis::new(&g);
+    let mut db = CutDb::new(4, 8);
+    db.build(&g);
+    let cache = ResynthCache::new();
+    let mut ctx = EvalContext::new();
+    let mut gt = GroundTruthCost::new(&lib);
+    let mut oracle = GroundTruthCost::new(&lib);
+    let same = |a: saopt::CostMetrics, b: saopt::CostMetrics| {
+        a.delay.to_bits() == b.delay.to_bits() && a.area.to_bits() == b.area.to_bits()
+    };
+    // The first in-place call rebuilds; from the second on the
+    // per-row cutoff (and with it the journal) is live.
+    let _ = gt.evaluate_edit(&g, &EditScope::whole_graph(&db), &mut ctx);
+    let _ = gt.evaluate_edit(&g, &EditScope::new(&db, NodeId::MAX), &mut ctx);
+    let (mut undone, mut appends) = (0usize, 0usize);
+    for step in 0..steps {
+        let before = gt.map_context().dp_snapshot();
+        let n_before = g.num_nodes();
+        db.begin_edit();
+        let mut txn = Transaction::begin(&mut g, &mut inc);
+        let start = rng.gen_range(0..n_before as NodeId);
+        if rng.gen() {
+            let mode = if rng.gen() {
+                InplaceMode::Standard
+            } else {
+                InplaceMode::ZeroCost
+            };
+            transform::resynth_inplace_window(
+                &mut txn, &mut db, &cache, mode, true, start, 128, None,
+            );
+        } else {
+            transform::balance_inplace_window(&mut txn, &mut db, start, 64, None);
+        }
+        let since = txn.min_touched();
+        let grew = txn.aig().num_nodes() > n_before;
+        let m_inc = gt.evaluate_edit(txn.aig(), &EditScope::new(&db, since), &mut ctx);
+        assert!(
+            same(m_inc, oracle.evaluate(txn.aig())),
+            "step {step}: edited graph priced differently"
+        );
+        if rng.gen_bool(0.2) {
+            txn.commit();
+            db.commit_edit();
+            continue;
+        }
+        txn.rollback();
+        db.rollback_edit();
+        gt.resync_edit(&g, &EditScope::new(&db, since), &mut ctx);
+        assert_eq!(
+            gt.dp_recomputed_rows(),
+            0,
+            "step {step}: the reject recomputed DP rows instead of undoing"
+        );
+        assert!(
+            gt.map_context().dp_snapshot() == before,
+            "step {step}: undo left DP state differing from the pre-edit state"
+        );
+        let m_back = gt.evaluate_edit(&g, &EditScope::new(&db, NodeId::MAX), &mut ctx);
+        assert!(
+            same(m_back, oracle.evaluate(&g)),
+            "step {step}: restored graph priced differently after the undo"
+        );
+        undone += 1;
+        appends += usize::from(grew);
+    }
+    (undone, appends)
+}
+
+/// The undo path on every benchgen design.
+#[test]
+fn rejected_moves_undo_exactly_on_benchgen_designs() {
+    let (mut undone, mut appends) = (0, 0);
+    for (k, design) in benchgen::iwls_like_suite().iter().enumerate() {
+        let (u, a) = drive_undo_walk(&design.aig, 0x0DD0 ^ k as u64, 8);
+        undone += u;
+        appends += a;
+    }
+    assert!(undone >= 20, "too few rejects exercised ({undone})");
+    assert!(
+        appends >= 3,
+        "too few append rollbacks exercised ({appends})"
+    );
+}
+
+/// The undo path on a ~2k-AND mixed design (the in-place benchmark
+/// scale), where a reject's footprint is a small part of the graph.
+#[test]
+fn rejected_moves_undo_exactly_on_large_mix() {
+    let design = benchgen::large_mix(2000);
+    let (undone, appends) = drive_undo_walk(&design.aig, 0x2000, 16);
+    assert!(undone >= 8, "too few rejects exercised ({undone})");
+    assert!(
+        appends >= 2,
+        "too few append rollbacks exercised ({appends})"
+    );
+}
+
 /// Random graphs: many shapes, dense edit mixes.
 #[test]
 fn edit_walks_match_oracle_on_random_graphs() {
