@@ -178,6 +178,12 @@ pub fn from_binary(bytes: &[u8]) -> Result<Aig, AigError> {
         .ok_or_else(|| parse_err(1, "missing header newline"))?;
     let header = std::str::from_utf8(&bytes[..nl]).map_err(|_| parse_err(1, "non-utf8 header"))?;
     let h = parse_header(header, "aig", 1)?;
+    // Binary variables are numbered implicitly (inputs, then ANDs), so
+    // the format requires M = I + L + A exactly; ASCII may leave
+    // variables unused. Latches were rejected above, so L = 0.
+    if h.m != h.i + h.a {
+        return Err(parse_err(1, "binary header M != I + L + A"));
+    }
     let mut pos = nl + 1;
     // Reservations are capped by what the remaining bytes can encode
     // (an output line takes at least 2 bytes, a delta-coded AND at
@@ -262,6 +268,7 @@ pub fn write_file(aig: &Aig, path: impl AsRef<std::path::Path>) -> Result<(), Ai
 }
 
 struct Header {
+    m: usize,
     i: usize,
     o: usize,
     a: usize,
@@ -300,7 +307,7 @@ fn parse_header(line: &str, magic: &str, lineno: usize) -> Result<Header, AigErr
             "header M exceeds the 32-bit literal range",
         ));
     }
-    Ok(Header { i, o, a })
+    Ok(Header { m, i, o, a })
 }
 
 fn build(
@@ -634,6 +641,12 @@ mod tests {
         assert!(from_bytes(b"aig 2000000000 0 0 2000000000 0\n2\n").is_err());
         assert!(from_bytes(b"aag 2000000000 0 0 1 2000000000\n2\n").is_err());
         assert!(from_bytes(b"aag 2000000000 1000000000 0 0 0\n2\n").is_err());
+        // Binary variables are implicit, so M must equal I + L + A;
+        // the same body under the exact header parses. ASCII may
+        // declare unused variables.
+        assert!(from_bytes(b"aig 3 2 0 1 1\n6\n\x02\x02").is_ok());
+        assert!(from_bytes(b"aig 5 2 0 1 1\n6\n\x02\x02").is_err());
+        assert!(from_bytes(b"aag 5 2 0 1 1\n2\n4\n6\n6 4 2\n").is_ok());
     }
 
     #[test]

@@ -507,7 +507,7 @@ struct EditJournal {
 ///   so the cost tracks the true footprint of the edit;
 /// * [`CutDb::begin_edit`] / [`CutDb::commit_edit`] /
 ///   [`CutDb::rollback_edit`] — bracket the updates belonging to one
-///   speculative [`Transaction`](crate::incremental::Transaction), so
+///   tentative [`Transaction`](crate::incremental::Transaction), so
 ///   a rejected SA move also rolls the cut table back exactly.
 ///
 /// Updated lists are appended to the arena and the node's span is
@@ -538,7 +538,7 @@ struct EditJournal {
 ///   [`CutDb::begin_edit`] **exactly** — and because bumped values
 ///   are never reused, a consumer that snapshotted a mid-edit version
 ///   still observes `snapshot != version` after the rollback, while a
-///   consumer that never saw the speculative edit observes equality
+///   consumer that never saw the rolled-back edit observes equality
 ///   (the list really is bit-identical to what it cached).
 ///
 /// Version equality therefore *proves* the list is unchanged since
@@ -600,9 +600,9 @@ impl Clone for CutDb {
     }
 
     /// [`Clone::clone`] into an existing database, reusing its arena,
-    /// span, and version allocations (the speculative engine re-syncs
-    /// worker replicas from the master once per wave — on the steady
-    /// state this copies element-for-element with no heap traffic).
+    /// span, and version allocations (once the destination has grown
+    /// to the source's size this copies element-for-element with no
+    /// heap traffic).
     /// Semantics match `clone()`: the destination takes a **fresh**
     /// [`CutDb::instance_id`], so version snapshots taken against
     /// either database never cross-match.
@@ -1275,7 +1275,7 @@ mod tests {
     }
 
     /// Random edit walks: after every substitution + invalidate (and
-    /// every rolled-back speculative edit) the database must equal a
+    /// every rolled-back tentative edit) the database must equal a
     /// fresh enumeration bit for bit.
     #[test]
     fn cutdb_tracks_fresh_enumeration_through_edits() {
@@ -1477,7 +1477,7 @@ mod tests {
             let vi = id as usize;
             assert_eq!(db.version(id), pre[vi], "rollback must restore versions");
             if mid[vi] != pre[vi] {
-                // A consumer that snapshotted the speculative value
+                // A consumer that snapshotted the mid-edit value
                 // must still see a mismatch after the rollback.
                 assert_ne!(db.version(id), mid[vi], "mid-edit value reused");
             }

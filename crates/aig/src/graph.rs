@@ -210,8 +210,8 @@ impl Clone for Aig {
     /// Buffer-reusing whole-graph resync: every lane is copied into
     /// the destination's existing allocation (growing it at most once
     /// to the source length), and the strash slot arrays are copied
-    /// flat — no rehash. This is the speculation-slot full-resync
-    /// path; after a first sync at peak size it is allocation-free.
+    /// flat — no rehash. After a first sync at peak size it is
+    /// allocation-free.
     fn clone_from(&mut self, src: &Self) {
         self.fanin0.clone_from(&src.fanin0);
         self.fanin1.clone_from(&src.fanin1);

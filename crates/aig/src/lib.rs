@@ -10,7 +10,7 @@
 //!   counts (the raw material for the paper's Table II features);
 //! * [`incremental`] — incrementally maintained levels/fanout with a
 //!   dirty-region tracker, plus the edit
-//!   [`Transaction`](incremental::Transaction) layer (speculative
+//!   [`Transaction`](incremental::Transaction) layer (tentative
 //!   substitutions/retargets/appends with exact rollback of graph,
 //!   strash table and analyses), so SA moves mutate the current
 //!   graph in place and evaluation cost scales with the edit size

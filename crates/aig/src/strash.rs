@@ -10,8 +10,8 @@
 //! * lookups in the [`crate::Aig::and`] hot loop touch one contiguous
 //!   cache line instead of chasing SwissTable groups,
 //! * [`StrashTable::clone_from`] is a flat `memcpy` of the slot
-//!   arrays — no rehash — which is what makes speculation-slot full
-//!   resyncs cheap on large designs, and
+//!   arrays — no rehash — so copying a large design into an existing
+//!   graph is cheap, and
 //! * capacity can be reserved up front ([`StrashTable::reserve`]) so
 //!   a known-size build never grows incrementally.
 //!

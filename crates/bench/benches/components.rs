@@ -75,7 +75,7 @@ fn bench_components(c: &mut Criterion) {
     });
     // Full Table II extraction (the ML evaluator's per-candidate cost
     // before incremental maintenance) vs `IncrementalFeatures`
-    // replaying a *rejected* speculation (the dominant SA case):
+    // replaying a *rejected* move (the dominant SA case):
     // transaction substitute → sync + assemble on the edited graph →
     // rollback → re-sync to the restored graph. Every rollback
     // restores the base exactly, so the replay is rebuild-free steady
@@ -300,7 +300,7 @@ fn bench_components(c: &mut Criterion) {
         });
     }
     // Incremental DP after a windowed in-place edit, replayed as a
-    // *rejected* speculation (the dominant SA case): speculative
+    // *rejected* move (the dominant SA case): tentative
     // substitution → sync → rollback → resync. The watermark path
     // (`map_dp_watermark_ex28`, per-row cutoff disabled) recomputes
     // every DP row at or above the edit watermark on both syncs; the
@@ -389,7 +389,7 @@ fn bench_components(c: &mut Criterion) {
                 txn.substitute(node, with);
                 db.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
                 let since = txn.min_touched();
-                // Price the speculative candidate...
+                // Price the tentative candidate...
                 mapper
                     .sync_design(&mut ctx, txn.aig(), &db, since, false, &mut design)
                     .expect("mappable");
@@ -494,27 +494,18 @@ fn bench_components(c: &mut Criterion) {
         b.iter(|| aig::sim::SimTable::exhaustive(black_box(&small.aig)).expect("16 pis"))
     });
 
-    // Fixed-length ground-truth SA chains, serial vs speculative
-    // (`SaOptions::speculation`): the speculative engine pre-draws
-    // waves of in-place rw/rwz moves and scores them on pooled worker
-    // slots, byte-identical to the serial chain by contract. Worker
-    // count follows `AIG_THREADS` capped at the machine's cores
-    // (`aig::par::worker_threads`) — the verify.sh gate requires
-    // >= 1.5x on multi-core runners; a single-core runner measures
-    // the engine's bookkeeping overhead instead (gated to stay
-    // bounded). Evaluators and contexts are built once and primed by
-    // an untimed warm-up chain, so samples see the steady state (warm
-    // caches, pooled slots) rather than first-run construction cost.
-    let mut last_stats = None;
+    // A fixed-length ground-truth SA chain of in-place rw/rwz moves.
+    // The evaluator and context are built once and primed by an
+    // untimed warm-up chain, so samples see the steady state (warm
+    // caches) rather than first-run construction cost.
     {
         use transform::{Recipe, Transform};
         let actions = vec![
             Recipe(vec![Transform::Rewrite]),
             Recipe(vec![Transform::RewriteZero]),
         ];
-        // Long enough that per-run fixed costs (initial slot resync:
-        // cloning the master replica/analysis/cut database) amortize
-        // and the per-move steady state dominates the sample.
+        // Long enough that per-run fixed costs amortize and the
+        // per-move steady state dominates the sample.
         let opts = saopt::SaOptions {
             iterations: 400,
             seed: 17,
@@ -528,51 +519,8 @@ fn bench_components(c: &mut Criterion) {
                 saopt::optimize_with(black_box(&large.aig), &mut eval, &actions, &opts, &mut ctx)
             })
         });
-        let opts = saopt::SaOptions {
-            speculation: Some(saopt::SpeculationOptions::default()),
-            ..opts
-        };
-        let mut eval = saopt::GroundTruthCost::new(&lib);
-        let mut ctx = saopt::EvalContext::new();
-        saopt::optimize_with(&large.aig, &mut eval, &actions, &opts, &mut ctx);
-        g.bench_function("sa_chain_speculative_ex28", |b| {
-            b.iter(|| {
-                let res = saopt::optimize_with(
-                    black_box(&large.aig),
-                    &mut eval,
-                    &actions,
-                    &opts,
-                    &mut ctx,
-                );
-                last_stats = res.spec;
-                res
-            })
-        });
     }
     g.finish();
-
-    if let (Some(serial), Some(spec)) = (
-        c.median_ns("components", "sa_chain_serial_ex28"),
-        c.median_ns("components", "sa_chain_speculative_ex28"),
-    ) {
-        let s = last_stats.expect("speculative chain must engage");
-        eprintln!(
-            "sa_chain_speculative_ex28: {:.2}x vs serial chain at {} worker(s) \
-             (waves={} dispatches={} speculated={} committed={} accepted_edits={} \
-             replayed_conflicting={} replayed_stale={} discarded={} overlapping_windows={})",
-            serial / spec,
-            aig::par::worker_threads(),
-            s.waves,
-            s.dispatches,
-            s.speculated,
-            s.committed,
-            s.accepted_edits,
-            s.replayed_conflicting,
-            s.replayed_stale,
-            s.discarded,
-            s.overlapping_windows,
-        );
-    }
 
     for k in ["k4", "k6"] {
         let fast = c.median_ns("components", &format!("cut_enum_{k}_ex28"));

@@ -29,6 +29,12 @@ pub struct Record {
     pub name: String,
     /// Median wall time per iteration, nanoseconds.
     pub median_ns: f64,
+    /// 10th-percentile sample, nanoseconds per iteration (linear
+    /// interpolation between the two nearest samples, as for the
+    /// median).
+    pub p10_ns: f64,
+    /// 90th-percentile sample, nanoseconds per iteration.
+    pub p90_ns: f64,
     /// Mean wall time per iteration, nanoseconds.
     pub mean_ns: f64,
     /// Fastest sample, nanoseconds per iteration.
@@ -121,10 +127,10 @@ impl Criterion {
 
     /// Registers a deterministic counter (recomputed rows, worklist
     /// sizes, …) as a pseudo-measurement so it lands in the JSON
-    /// report as an ordinary series — median/mean/min all carry
-    /// `value`, with a single one-iteration sample. Ratio gates over
-    /// such series express *work* bounds instead of wall-clock ones,
-    /// immune to machine noise.
+    /// report as an ordinary series — median/p10/p90/mean/min all
+    /// carry `value`, with a single one-iteration sample. Ratio gates
+    /// over such series express *work* bounds instead of wall-clock
+    /// ones, immune to machine noise.
     pub fn record_value(
         &mut self,
         group: impl Into<String>,
@@ -135,6 +141,8 @@ impl Criterion {
             group: group.into(),
             name: name.into(),
             median_ns: value,
+            p10_ns: value,
+            p90_ns: value,
             mean_ns: value,
             min_ns: value,
             samples: 1,
@@ -167,6 +175,8 @@ impl Criterion {
                     ("group".into(), Json::Str(r.group.clone())),
                     ("name".into(), Json::Str(r.name.clone())),
                     ("median_ns".into(), Json::Num(r.median_ns)),
+                    ("p10_ns".into(), Json::Num(r.p10_ns)),
+                    ("p90_ns".into(), Json::Num(r.p90_ns)),
                     ("mean_ns".into(), Json::Num(r.mean_ns)),
                     ("min_ns".into(), Json::Num(r.min_ns)),
                     ("samples".into(), Json::Num(r.samples as f64)),
@@ -252,21 +262,28 @@ fn run_bench<F: FnMut(&mut Bencher)>(
         per_iter_ns.push(b.elapsed.as_nanos() as f64 / iters as f64);
     }
     per_iter_ns.sort_by(f64::total_cmp);
-    let median_ns = if samples % 2 == 1 {
-        per_iter_ns[samples / 2]
-    } else {
-        (per_iter_ns[samples / 2 - 1] + per_iter_ns[samples / 2]) / 2.0
-    };
     let mean_ns = per_iter_ns.iter().sum::<f64>() / samples as f64;
     Record {
         group,
         name,
-        median_ns,
+        median_ns: quantile(&per_iter_ns, 0.5),
+        p10_ns: quantile(&per_iter_ns, 0.1),
+        p90_ns: quantile(&per_iter_ns, 0.9),
         mean_ns,
         min_ns: per_iter_ns[0],
         samples,
         iters_per_sample: iters,
     }
+}
+
+/// The `q`-quantile of ascending, non-empty `sorted`, interpolated
+/// linearly between the two nearest ranks (so `q = 0.5` is the usual
+/// median: the middle sample, or the mean of the two middle ones).
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
 fn human(ns: f64) -> String {
@@ -343,7 +360,33 @@ mod tests {
         c.save_json(&path).expect("writable temp");
         let text = std::fs::read_to_string(&path).expect("written");
         let doc = minijson::Json::parse(&text).expect("valid json");
-        assert_eq!(doc.field("benchmarks").unwrap().as_arr().unwrap().len(), 1);
+        let benches = doc.field("benchmarks").unwrap().as_arr().unwrap();
+        assert_eq!(benches.len(), 1);
+        for key in ["median_ns", "p10_ns", "p90_ns"] {
+            assert!(benches[0].field(key).is_ok(), "{key} missing");
+        }
+        assert!(r.p10_ns <= r.median_ns && r.median_ns <= r.p90_ns);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn quantiles_interpolate_between_ranks() {
+        let ten: Vec<f64> = (1..=10).map(f64::from).collect();
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
+        assert!(close(quantile(&ten, 0.1), 1.9));
+        assert!(close(quantile(&ten, 0.5), 5.5));
+        assert!(close(quantile(&ten, 0.9), 9.1));
+        assert!(close(quantile(&[1.0, 2.0, 3.0], 0.1), 1.2));
+        assert!(close(quantile(&[1.0, 2.0, 3.0], 0.5), 2.0));
+        assert!(close(quantile(&[1.0, 2.0, 3.0], 0.9), 2.8));
+        assert!(close(quantile(&[7.0], 0.9), 7.0));
+    }
+
+    #[test]
+    fn recorded_values_carry_their_value_in_every_statistic() {
+        let mut c = Criterion::default();
+        c.record_value("g", "rows", 42.0);
+        let r = &c.records()[0];
+        assert_eq!((r.median_ns, r.p10_ns, r.p90_ns), (42.0, 42.0, 42.0));
     }
 }

@@ -9,6 +9,7 @@ use cells::Library;
 use features::{extract, FeatureVector, IncrementalFeatures};
 use gbt::{Forest, GbtModel};
 use sta::IncrementalSta;
+use std::marker::PhantomData;
 use techmap::{GateId, MapContext, MapOptions, MappedDesign, Mapper, SizingTable};
 
 /// Everything [`CostEvaluator::evaluate_edit`] /
@@ -137,27 +138,11 @@ pub trait CostEvaluator {
     /// the default is a no-op.
     fn resync_edit(&mut self, _aig: &Aig, _scope: &EditScope<'_>, _ctx: &mut EvalContext) {}
 
-    /// Whether the speculative engine must call
-    /// [`CostEvaluator::resync_edit`] after rolling a scored move
-    /// back. Watermark-based evaluators answer `false`: leaving their
-    /// state mirroring the *edited* graph and lowering the watermark
-    /// is cheaper than a second pass per speculated move. Delta-based
-    /// evaluators ([`MlCost`]) answer `true`: their state must track
-    /// the slot's replica exactly, footprint by footprint.
+    /// No caller left: only the removed speculative engine read it.
+    /// The SA loop always calls [`CostEvaluator::resync_edit`] after
+    /// a rollback. Kept because the `perfbench` harness forwards it.
     fn wants_rollback_resync(&self) -> bool {
         false
-    }
-
-    /// Forks an independent sibling evaluator for speculative
-    /// scoring: same pricing function — metrics are bit-identical to
-    /// this evaluator's, because evaluator state is pure with respect
-    /// to the evaluated graph — but fresh per-node state, so worker
-    /// slots of the speculative SA engine can price candidate moves
-    /// concurrently. `None` (the default) declares the evaluator
-    /// unforkable; [`crate::optimize_with`] then silently falls back
-    /// to the serial engine even when speculation is requested.
-    fn fork(&self) -> Option<Box<dyn CostEvaluator + Send + '_>> {
-        None
     }
 
     /// Evaluator name for reports (`proxy`, `ground-truth`, `ml`).
@@ -181,10 +166,6 @@ impl CostEvaluator for ProxyCost {
             delay: f64::from(ctx.levels_of(aig).max_level),
             area: aig.num_ands() as f64,
         }
-    }
-
-    fn fork(&self) -> Option<Box<dyn CostEvaluator + Send + '_>> {
-        Some(Box::new(ProxyCost))
     }
 
     fn name(&self) -> &'static str {
@@ -405,27 +386,6 @@ impl CostEvaluator for GroundTruthCost<'_> {
         }
     }
 
-    /// Forks share the library and mapping options and *clone the
-    /// warm graph-independent state*: the precomputed match tables
-    /// ([`Mapper::fork`]), the context's cut-function shortlist memo
-    /// ([`MapContext::fork_memo`]) and the [`SizingTable`]. All of it
-    /// is a pure function of the library and options, so metrics stay
-    /// bit-identical to the parent's; graph-shaped state (DP rows,
-    /// persistent design, STA) starts empty per fork.
-    fn fork(&self) -> Option<Box<dyn CostEvaluator + Send + '_>> {
-        Some(Box::new(GroundTruthCost {
-            lib: self.lib,
-            mapper: self.mapper.fork(),
-            map_ctx: self.map_ctx.fork_memo(),
-            sizing: self.sizing.clone(),
-            sta_bufs: sta::StaBuffers::new(),
-            resize_loads: Vec::new(),
-            design: MappedDesign::new(),
-            inc_sta: IncrementalSta::new(),
-            sta_seeds: Vec::new(),
-        }))
-    }
-
     fn name(&self) -> &'static str {
         "ground-truth"
     }
@@ -442,11 +402,12 @@ impl CostEvaluator for GroundTruthCost<'_> {
 /// moved; inference always runs through pre-flattened [`Forest`]s.
 /// Predictions are bit-identical to the whole-graph
 /// `extract` + [`GbtModel::predict_f64`] path (the differential suite
-/// asserts this on random edit walks), so the engine-on/off and
-/// speculation byte-identity guarantees carry over unchanged.
+/// asserts this on random edit walks), so the engine-on/off
+/// byte-identity guarantee carries over unchanged.
 pub struct MlCost<'a> {
-    delay_model: &'a GbtModel,
-    area_model: &'a GbtModel,
+    /// The forests are flattened copies; the borrow only keeps the
+    /// public `MlCost<'a>` signature.
+    models: PhantomData<&'a GbtModel>,
     delay_forest: Forest,
     area_forest: Forest,
     feats: IncrementalFeatures,
@@ -456,8 +417,7 @@ impl<'a> MlCost<'a> {
     /// Creates an ML evaluator from trained delay and area models.
     pub fn new(delay_model: &'a GbtModel, area_model: &'a GbtModel) -> Self {
         MlCost {
-            delay_model,
-            area_model,
+            models: PhantomData,
             delay_forest: Forest::flatten(delay_model),
             area_forest: Forest::flatten(area_model),
             feats: IncrementalFeatures::default(),
@@ -506,14 +466,6 @@ impl CostEvaluator for MlCost<'_> {
     /// (cost bounded by the rejected edit's footprint).
     fn resync_edit(&mut self, aig: &Aig, scope: &EditScope<'_>, ctx: &mut EvalContext) {
         let _ = self.evaluate_edit(aig, scope, ctx);
-    }
-
-    fn wants_rollback_resync(&self) -> bool {
-        true
-    }
-
-    fn fork(&self) -> Option<Box<dyn CostEvaluator + Send + '_>> {
-        Some(Box::new(MlCost::new(self.delay_model, self.area_model)))
     }
 
     fn name(&self) -> &'static str {

@@ -55,11 +55,9 @@ mod context;
 mod cost;
 pub mod pareto;
 mod sa;
-mod speculate;
 mod sweep;
 
 pub use context::EvalContext;
 pub use cost::{CostEvaluator, CostMetrics, EditScope, GroundTruthCost, MlCost, ProxyCost};
 pub use sa::{optimize, optimize_best_of, optimize_seeds, optimize_with, SaOptions, SaResult};
-pub use speculate::{SpecStats, SpeculationOptions};
 pub use sweep::{sweep, SweepConfig, SweepPoint};

@@ -1,38 +1,24 @@
 //! The simulated-annealing optimization loop (paper §IV, following
 //! the SA paradigm of Hillier et al. [5]).
 //!
-//! # The speculate → commit → replay protocol
+//! # The serial transaction engine
 //!
-//! With [`SaOptions::speculation`] set (and a forkable evaluator),
-//! [`optimize_with`] runs the chain through [`crate::speculate`]: a
-//! *scout* clone of the chain's RNG pre-draws a wave of candidate
-//! moves, worker slots score them concurrently (each on its own
-//! replica graph, `CutDb`, [`EvalContext`] and
-//! [`CostEvaluator::fork`]), and a serial commit loop then consumes
-//! the results in iteration order, re-drawing every RNG sample from
-//! the *true* stream and applying the Metropolis rule to the
-//! speculated metrics. An accepted windowed move is committed by
-//! replaying its recorded substitution journal onto the master graph;
-//! the wave's remaining speculations — now priced against a stale
-//! graph — are re-scored against the committed state (worker replicas
-//! replay the same journal) and the commit loop resumes.
-//!
-//! The determinism contract mirrors the [`aig::incremental`] dirty-
-//! region contracts it is built on: speculated metrics are bitwise
-//! equal to what the serial loop would compute (evaluator state is
-//! pure with respect to the evaluated graph), RNG consumption per
-//! move is a pure function of the recipe draw (see [`metropolis`]),
-//! and the commit loop re-derives every decision — so results are
-//! **byte-identical to the serial engine** for every seed, any batch
-//! size, and any `AIG_THREADS`, as the speculation determinism suites
-//! assert. Speculation off (the default) *is* the serial engine,
-//! kept verbatim as the oracle.
+//! One chain runs one move at a time. Each iteration draws a
+//! [`Recipe`], prices the candidate and applies the Metropolis rule
+//! ([`metropolis`]). Moves with an in-place plan edit the current
+//! graph inside a [`Transaction`]: accept commits the edits, reject
+//! rolls the graph, its analyses and its cut database back, and the
+//! evaluator re-syncs over the rejected footprint. Every other move
+//! builds a new candidate graph and is priced from scratch. With the
+//! engine off, in-place moves take that whole-graph path through a
+//! clone; results are byte-identical either way (see
+//! [`optimize_with`]). Parallelism lives one level up, across
+//! independent chains ([`optimize_seeds`], [`crate::sweep`]).
 
 use crate::context::EvalContext;
 use crate::cost::{CostEvaluator, CostMetrics, EditScope};
-use crate::speculate::{SpecStats, SpeculationOptions};
 use aig::cut::CutDb;
-use aig::incremental::{DirtyRegion, EditOp, IncrementalAnalysis, Transaction};
+use aig::incremental::{DirtyRegion, IncrementalAnalysis, Transaction};
 use aig::{Aig, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,18 +32,18 @@ use transform::{
 /// 4-input cuts *and* to the default `techmap::MapOptions`, so one
 /// database serves both the local rewriter and the incremental
 /// ground-truth evaluator.
-pub(crate) const INPLACE_CUT_SIZE: usize = 4;
-pub(crate) const INPLACE_MAX_CUTS: usize = 8;
+const INPLACE_CUT_SIZE: usize = 4;
+const INPLACE_MAX_CUTS: usize = 8;
 /// Live AND nodes examined by one in-place move
 /// ([`transform::resynth_inplace_window`]); the window start is drawn
 /// from the chain's RNG as part of the move, so edits stay local and
 /// the per-iteration cost is independent of the graph size.
-pub(crate) const INPLACE_WINDOW: usize = 64;
+const INPLACE_WINDOW: usize = 64;
 
 /// Window width of an in-place move: refactor-flavor moves scan twice
 /// the baseline window (their whole-graph counterpart works on larger
 /// cones; the in-place flavor compensates with coverage).
-pub(crate) fn plan_window(plan: InplacePlan) -> usize {
+fn plan_window(plan: InplacePlan) -> usize {
     match plan {
         InplacePlan::Refactor(_) => 2 * INPLACE_WINDOW,
         _ => INPLACE_WINDOW,
@@ -65,57 +51,51 @@ pub(crate) fn plan_window(plan: InplacePlan) -> usize {
 }
 
 /// Executes one in-place SA move according to its plan. The single
-/// definition is shared by the serial engine path, the clone-oracle
-/// path and the speculative scorer, so all three are bitwise
-/// interchangeable by construction.
-pub(crate) fn run_inplace_plan(
+/// definition is shared by the engine path and the clone-oracle path,
+/// so the two are bitwise interchangeable by construction.
+fn run_inplace_plan(
     plan: InplacePlan,
     txn: &mut Transaction<'_>,
     db: &mut CutDb,
     cache: &ResynthCache,
     start: NodeId,
-    ops: Option<&mut Vec<EditOp>>,
 ) -> InplaceStats {
     let window = plan_window(plan);
     match plan {
         InplacePlan::Rewrite(mode) => {
-            resynth_inplace_window(txn, db, cache, mode, false, start, window, ops)
+            resynth_inplace_window(txn, db, cache, mode, false, start, window)
         }
         InplacePlan::Refactor(mode) => {
-            resynth_inplace_window(txn, db, cache, mode, true, start, window, ops)
+            resynth_inplace_window(txn, db, cache, mode, true, start, window)
         }
-        InplacePlan::Balance => balance_inplace_window(txn, db, start, window, ops),
-        InplacePlan::Resub => resub_inplace_window(txn, db, start, window, ops),
+        InplacePlan::Balance => balance_inplace_window(txn, db, start, window),
+        InplacePlan::Resub => resub_inplace_window(txn, db, start, window),
     }
 }
 
-/// Deterministic dead-logic compaction checkpoint (both serial paths
-/// and the speculative commit loop apply it identically, so it is
-/// part of the byte-identity contract): after the `it`-th iteration's
-/// *accepted* move, the graph is swept when less than a quarter of
-/// its nodes are live. Append-capable moves strand their replaced
-/// cones as dead nodes; without a liveness-aware bound the arena (and
-/// every analysis over it) would grow without limit over a long
-/// chain. This is purely a garbage-ratio policy: the mapper's per-row
+/// Deterministic dead-logic compaction checkpoint (both paths apply
+/// it identically, so it is part of the byte-identity contract): after
+/// the `it`-th iteration's *accepted* move, the graph is swept when
+/// less than a quarter of its nodes are live. Append-capable moves
+/// strand their replaced cones as dead nodes; without a liveness-aware
+/// bound the arena (and every analysis over it) would grow without
+/// limit over a long chain. This is purely a garbage-ratio policy: the mapper's per-row
 /// cutoff and the design's in-place grow path stay active on
 /// uncompacted (non-topological) graphs, so sweeping is never needed
 /// to restore per-step speed.
-pub(crate) fn should_compact(it: usize, aig: &Aig) -> bool {
+fn should_compact(it: usize, aig: &Aig) -> bool {
     (it & 15) == 15 && aig.num_live_ands() * 4 < aig.num_ands()
 }
 
 /// The Metropolis acceptance rule. One definition on purpose: the
-/// serial paths (engine-on and whole-graph) and the speculative
-/// commit loop must draw from the RNG identically for the
-/// byte-identity contracts to hold.
+/// engine-on and whole-graph paths must draw from the RNG identically
+/// for the byte-identity contract to hold.
 ///
 /// The sample is drawn **unconditionally** — even though a downhill
 /// move accepts regardless of it — so the stream advances by exactly
 /// one `f64` per evaluated move: RNG consumption is a pure function
-/// of the recipe draw, never of the move's metrics. The speculative
-/// engine's scout relies on this to pre-draw whole waves of moves
-/// before any of them is scored.
-pub(crate) fn metropolis(delta: f64, temp: f64, rng: &mut SmallRng) -> bool {
+/// of the recipe draw, never of the move's metrics.
+fn metropolis(delta: f64, temp: f64, rng: &mut SmallRng) -> bool {
     let sample: f64 = rng.gen();
     delta <= 0.0 || sample < (-delta / temp.max(1e-12)).exp()
 }
@@ -139,11 +119,6 @@ pub struct SaOptions {
     pub weight_area: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Speculative within-chain parallelism (`None`, the default,
-    /// runs the serial engine; see the [module docs](self) and
-    /// [`crate::speculate`]). Results are byte-identical either way,
-    /// for any `AIG_THREADS`.
-    pub speculation: Option<SpeculationOptions>,
 }
 
 impl Default for SaOptions {
@@ -155,7 +130,6 @@ impl Default for SaOptions {
             weight_delay: 0.7,
             weight_area: 0.3,
             seed: 1,
-            speculation: None,
         }
     }
 }
@@ -176,10 +150,6 @@ pub struct SaResult {
     pub accepted: usize,
     /// Scalar cost after each iteration (current state).
     pub history: Vec<f64>,
-    /// Counters of the speculative engine (`None` for serial runs).
-    /// Never part of the byte-identity contract — every other field
-    /// is independent of whether (and how wide) the run speculated.
-    pub spec: Option<SpecStats>,
 }
 
 /// Runs simulated annealing from `aig` under the given evaluator.
@@ -263,16 +233,6 @@ pub fn optimize(
 /// `AIG_THREADS` and any context state, as the determinism suite
 /// asserts.
 ///
-/// # Speculation
-///
-/// With [`SaOptions::speculation`] set, the transaction engine on,
-/// and a forkable evaluator ([`CostEvaluator::fork`]), the chain runs
-/// through the speculative batch engine instead (see the
-/// [module docs](self) and [`crate::speculate`]); outputs are
-/// byte-identical to this serial loop, and [`SaResult::spec`] carries
-/// the wave counters. Otherwise the request silently degrades to the
-/// serial engine.
-///
 /// # Panics
 ///
 /// Exactly [`optimize`]'s panics.
@@ -285,17 +245,6 @@ pub fn optimize_with(
 ) -> SaResult {
     assert!(!actions.is_empty(), "need at least one action");
     assert!(opts.iterations > 0, "iterations must be positive");
-    if let Some(spec) = opts.speculation {
-        if ctx.inplace_transactions() {
-            // Declines (None) when the evaluator is unforkable; the
-            // serial loop below is then the fallback.
-            if let Some(result) =
-                crate::speculate::try_optimize(aig, evaluator, actions, opts, spec, ctx)
-            {
-                return result;
-            }
-        }
-    }
     let mut rng = SmallRng::seed_from_u64(opts.seed);
     let initial = evaluator.evaluate_ctx(aig, ctx);
     assert!(
@@ -360,7 +309,7 @@ pub fn optimize_with(
                 }
                 db.begin_edit();
                 let mut txn = Transaction::begin(&mut current, inc);
-                run_inplace_plan(plan, &mut txn, db, ctx.resynth(), start, None);
+                run_inplace_plan(plan, &mut txn, db, ctx.resynth(), start);
                 let move_min = txn.min_touched();
                 let scope = if state_suspect {
                     EditScope::whole_graph(db)
@@ -406,7 +355,7 @@ pub fn optimize_with(
                         let mut db = CutDb::new(INPLACE_CUT_SIZE, INPLACE_MAX_CUTS);
                         db.build(&cand);
                         let mut txn = Transaction::begin(&mut cand, &mut inc);
-                        run_inplace_plan(plan, &mut txn, &mut db, ctx.resynth(), start, None);
+                        run_inplace_plan(plan, &mut txn, &mut db, ctx.resynth(), start);
                         txn.commit();
                         cand
                     }
@@ -451,7 +400,6 @@ pub fn optimize_with(
         evaluated,
         accepted,
         history,
-        spec: None,
     }
 }
 

@@ -371,21 +371,6 @@ impl MapContext {
         self.shortlists.len()
     }
 
-    /// A fresh context pre-warmed with this context's match memo: the
-    /// shortlists (and the mapper fingerprint keying them) are
-    /// cloned; every DP, netlist and scratch buffer starts empty,
-    /// exactly as in [`MapContext::new`]. Built for speculative
-    /// workers forked mid-run (see [`Mapper::fork`]) — they skip
-    /// re-deriving the cut-function shortlists the parent already
-    /// paid for.
-    pub fn fork_memo(&self) -> MapContext {
-        MapContext {
-            shortlists: self.shortlists.clone(),
-            fingerprint: self.fingerprint,
-            ..MapContext::default()
-        }
-    }
-
     /// Enables or disables the incremental per-row DP cutoff
     /// (default **on**). With the cutoff off,
     /// [`Mapper::map_incremental`] / [`Mapper::sync_design`] recompute
@@ -667,22 +652,6 @@ impl<'a> Mapper<'a> {
             matcher: Matcher::new(lib),
             opts,
             instance_id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-        }
-    }
-
-    /// Forks the mapper for a speculative worker: the precomputed
-    /// match tables are cloned instead of rebuilt, and the fork keeps
-    /// the parent's `instance_id`. Sharing the id is sound because
-    /// everything a context memoizes under it ([`MapContext`]
-    /// shortlists) is a pure function of the library and options,
-    /// which fork and parent share by construction — a context warmed
-    /// by either maps identically under both.
-    pub fn fork(&self) -> Mapper<'a> {
-        Mapper {
-            lib: self.lib,
-            matcher: self.matcher.clone(),
-            opts: self.opts,
-            instance_id: self.instance_id,
         }
     }
 

@@ -7,7 +7,7 @@
 use crate::rewrite::{substitution_is_acyclic, InplaceStats, MAX_WINDOW_APPENDS};
 use aig::analysis::fanout_counts;
 use aig::cut::CutDb;
-use aig::incremental::{EditOp, Transaction};
+use aig::incremental::Transaction;
 use aig::{Aig, Lit, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -113,9 +113,7 @@ const MAX_SUPERGATE_LEAVES: usize = 16;
 /// strict acceptance test never admits a depth regression.
 ///
 /// The cut database is kept in step (append sync before each splice,
-/// dirty-region invalidation after), and `ops`, when provided,
-/// records the move for exact replay
-/// ([`aig::incremental::replay_ops`]).
+/// dirty-region invalidation after).
 ///
 /// # Panics
 ///
@@ -126,7 +124,6 @@ pub fn balance_inplace_window(
     cuts: &mut CutDb,
     start: NodeId,
     max_nodes: usize,
-    mut ops: Option<&mut Vec<EditOp>>,
 ) -> InplaceStats {
     debug_assert_eq!(
         cuts.num_nodes(),
@@ -197,9 +194,6 @@ pub fn balance_inplace_window(
             txn.substitute(id, with);
             cuts.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
             stats.substitutions += 1;
-            if let Some(rec) = ops.as_deref_mut() {
-                rec.push(EditOp::Substitute(id, with));
-            }
             continue;
         }
         // Dry Huffman: combine the two shallowest first. Keys are
@@ -234,10 +228,8 @@ pub fn balance_inplace_window(
         let sp = txn.savepoint();
         let before = txn.aig().num_nodes();
         let mut vals: Vec<Lit> = leaves.clone();
-        let mut cone_ops: Vec<EditOp> = Vec::with_capacity(pairs.len());
         for &(sa, sb) in &pairs {
             let (la, lb) = (vals[sa as usize], vals[sb as usize]);
-            cone_ops.push(EditOp::And(la, lb));
             vals.push(txn.and(la, lb));
         }
         let root = *vals.last().expect("nonempty");
@@ -255,10 +247,6 @@ pub fn balance_inplace_window(
             cuts.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
             stats.substitutions += 1;
             stats.appended_nodes += fresh;
-            if let Some(rec) = ops.as_deref_mut() {
-                rec.extend(cone_ops);
-                rec.push(EditOp::Substitute(id, root));
-            }
         }
     }
     stats
@@ -516,12 +504,11 @@ mod tests {
         assert_eq!(after, 4); // ceil(log2(16))
     }
 
-    /// The in-place windowed move preserves function for any window,
-    /// keeps the analysis and cut database exact, and its recorded
-    /// ops replay to identical bytes.
+    /// The in-place windowed move preserves function for any window
+    /// and keeps the analysis and cut database exact.
     #[test]
-    fn inplace_window_preserves_function_and_replays() {
-        use aig::incremental::{replay_ops, IncrementalAnalysis, Transaction};
+    fn inplace_window_preserves_function() {
+        use aig::incremental::{IncrementalAnalysis, Transaction};
         let mut substituted_any = false;
         for seed in 0..8u64 {
             let g0 = random_aig(seed + 900, 7, 80);
@@ -531,9 +518,8 @@ mod tests {
                 let mut inc = IncrementalAnalysis::new(&g);
                 let mut db = aig::cut::CutDb::new(4, 8);
                 db.build(&g);
-                let mut ops = Vec::new();
                 let mut txn = Transaction::begin(&mut g, &mut inc);
-                let stats = balance_inplace_window(&mut txn, &mut db, start, 24, Some(&mut ops));
+                let stats = balance_inplace_window(&mut txn, &mut db, start, 24);
                 txn.commit();
                 assert!(stats.appended_nodes <= MAX_WINDOW_APPENDS);
                 assert!(
@@ -542,16 +528,6 @@ mod tests {
                 );
                 db.assert_matches_fresh(&g);
                 inc.assert_matches_oracle(&g);
-
-                let mut twin = g0.clone();
-                let mut twin_inc = IncrementalAnalysis::new(&twin);
-                let mut twin_db = aig::cut::CutDb::new(4, 8);
-                twin_db.build(&twin);
-                let mut twin_txn = Transaction::begin(&mut twin, &mut twin_inc);
-                let replayed = replay_ops(&mut twin_txn, &mut twin_db, &ops);
-                twin_txn.commit();
-                assert_eq!(replayed, stats.substitutions);
-                assert_eq!(aig::aiger::to_ascii(&g), aig::aiger::to_ascii(&twin));
                 substituted_any |= stats.substitutions > 0;
             }
         }
@@ -576,7 +552,7 @@ mod tests {
         let mut db = aig::cut::CutDb::new(4, 8);
         db.build(&g);
         let mut txn = Transaction::begin(&mut g, &mut inc);
-        let stats = balance_inplace_window(&mut txn, &mut db, 1, usize::MAX, None);
+        let stats = balance_inplace_window(&mut txn, &mut db, 1, usize::MAX);
         txn.commit();
         assert!(stats.substitutions >= 1);
         assert!(stats.appended_nodes >= 1, "chain rebuild needs fresh nodes");

@@ -17,7 +17,7 @@ use crate::cache::ResynthCache;
 use crate::structure::SmallStructure;
 use aig::analysis::levels;
 use aig::cut::{enumerate_cuts, CutDb};
-use aig::incremental::{EditOp, Transaction};
+use aig::incremental::Transaction;
 use aig::{Aig, Lit, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -276,35 +276,7 @@ pub fn rewrite_inplace_window(
     start: NodeId,
     max_nodes: usize,
 ) -> usize {
-    resynth_inplace_window(txn, cuts, cache, mode, false, start, max_nodes, None).substitutions
-}
-
-/// [`rewrite_inplace_window`] that additionally records every
-/// transaction call as [`EditOp`]s, appended to `ops` in execution
-/// order. The recorded sequence fully determines the move: replaying
-/// it on a byte-identical graph
-/// ([`aig::incremental::replay_ops`]) reproduces the move exactly
-/// (graph, strash table, cut database and analysis included) without
-/// re-running the resynthesis probe — which is how the speculative SA
-/// engine commits a move scored on a worker replica to the master
-/// graph.
-///
-/// Returns the number of substitutions performed.
-///
-/// # Panics
-///
-/// Panics (debug) if `cuts` is out of sync with the transaction's
-/// graph.
-pub fn rewrite_inplace_window_recorded(
-    txn: &mut Transaction<'_>,
-    cuts: &mut CutDb,
-    cache: &ResynthCache,
-    mode: InplaceMode,
-    start: NodeId,
-    max_nodes: usize,
-    ops: &mut Vec<EditOp>,
-) -> usize {
-    resynth_inplace_window(txn, cuts, cache, mode, false, start, max_nodes, Some(ops)).substitutions
+    resynth_inplace_window(txn, cuts, cache, mode, false, start, max_nodes).substitutions
 }
 
 /// Fresh AND nodes one windowed pass may append before further
@@ -341,9 +313,7 @@ type ConeCandidate = (u32, usize, Arc<SmallStructure>, [Lit; 6], usize);
 ///
 /// The cut database is kept in step throughout: appended cones are
 /// synced immediately before the substitution that splices them in,
-/// and every substitution's dirty region is invalidated. `ops`, when
-/// provided, records the move for exact replay
-/// ([`aig::incremental::replay_ops`]).
+/// and every substitution's dirty region is invalidated.
 ///
 /// The result is a pure function of `(graph, mode, allow_appends,
 /// start, max_nodes)` — warm or fresh caches and databases never
@@ -362,7 +332,6 @@ pub fn resynth_inplace_window(
     allow_appends: bool,
     start: NodeId,
     max_nodes: usize,
-    mut ops: Option<&mut Vec<EditOp>>,
 ) -> InplaceStats {
     debug_assert_eq!(
         cuts.num_nodes(),
@@ -477,9 +446,6 @@ pub fn resynth_inplace_window(
             txn.substitute(id, with);
             cuts.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
             stats.substitutions += 1;
-            if let Some(rec) = ops.as_deref_mut() {
-                rec.push(EditOp::Substitute(id, with));
-            }
             applied = true;
             break;
         }
@@ -489,8 +455,7 @@ pub fn resynth_inplace_window(
         if let Some((_, _, structure, leaves, nv)) = best_cone {
             let sp = txn.savepoint();
             let before = txn.aig().num_nodes();
-            let mut cone_ops = Vec::new();
-            let root = structure.instantiate_txn(txn, &leaves[..nv], &mut cone_ops);
+            let root = structure.instantiate_txn(txn, &leaves[..nv]);
             let fresh = txn.aig().num_nodes() - before;
             if root.var() == id {
                 // The cone folded back onto the node itself: no-op.
@@ -506,10 +471,6 @@ pub fn resynth_inplace_window(
                 cuts.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
                 stats.substitutions += 1;
                 stats.appended_nodes += fresh;
-                if let Some(rec) = ops.as_deref_mut() {
-                    rec.extend(cone_ops);
-                    rec.push(EditOp::Substitute(id, root));
-                }
             }
         }
     }
@@ -956,60 +917,6 @@ mod tests {
         }
     }
 
-    /// The recorded edit sequence fully reproduces the move:
-    /// replaying the [`EditOp`]s on a twin graph lands on the same
-    /// bytes — graph AND cut database — as the probing pass, with no
-    /// probe.
-    #[test]
-    fn recorded_substitutions_replay_to_identical_graph() {
-        use aig::incremental::{replay_ops, IncrementalAnalysis, Transaction};
-        let g0 = random_aig(5200, 7, 90);
-        let n = g0.num_nodes() as NodeId;
-        let mut replayed_any = false;
-        for (start, appends) in [(1u32, false), (n / 3, true), (n - 2, true)] {
-            let mut g = g0.clone();
-            let mut inc = IncrementalAnalysis::new(&g);
-            let mut db = aig::cut::CutDb::new(4, 8);
-            db.build(&g);
-            let cache = ResynthCache::new();
-            let mut ops = Vec::new();
-            let mut txn = Transaction::begin(&mut g, &mut inc);
-            let stats = resynth_inplace_window(
-                &mut txn,
-                &mut db,
-                &cache,
-                InplaceMode::ZeroCost,
-                appends,
-                start,
-                24,
-                Some(&mut ops),
-            );
-            txn.commit();
-            let subs = ops
-                .iter()
-                .filter(|op| matches!(op, EditOp::Substitute(..)))
-                .count();
-            assert_eq!(stats.substitutions, subs);
-
-            let mut twin = g0.clone();
-            let mut twin_inc = IncrementalAnalysis::new(&twin);
-            let mut twin_db = aig::cut::CutDb::new(4, 8);
-            twin_db.build(&twin);
-            let mut twin_txn = Transaction::begin(&mut twin, &mut twin_inc);
-            let replayed = replay_ops(&mut twin_txn, &mut twin_db, &ops);
-            twin_txn.commit();
-            assert_eq!(replayed, stats.substitutions);
-            assert_eq!(aig::aiger::to_ascii(&g), aig::aiger::to_ascii(&twin));
-            assert_eq!(db.num_nodes(), twin_db.num_nodes());
-            for id in 0..g.num_nodes() as NodeId {
-                assert_eq!(db.version(id), twin_db.version(id), "node {id} version");
-            }
-            twin_inc.assert_matches_oracle(&twin);
-            replayed_any |= stats.substitutions > 0;
-        }
-        assert!(replayed_any, "test graph produced no substitutions at all");
-    }
-
     /// Append-mode resynthesis (the refactor-flavor SA move) preserves
     /// function for any window, splices fresh cones above the
     /// high-water mark, and never exceeds the per-window budget.
@@ -1036,7 +943,6 @@ mod tests {
                     true,
                     start,
                     32,
-                    None,
                 );
                 txn.commit();
                 assert!(stats.appended_nodes <= MAX_WINDOW_APPENDS);
@@ -1077,7 +983,6 @@ mod tests {
                 true,
                 1,
                 usize::MAX,
-                None,
             ));
             txn.commit();
             assert!(equiv_exhaustive(&g0, &g).expect("small"), "seed {seed}");

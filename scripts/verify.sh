@@ -55,9 +55,8 @@ scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
 
 echo "== benches (short samples -> $scratch) =="
-# AIG_THREADS is pinned so the speculative-SA series run at a known
-# worker budget (the speedup gate below is stated for 4 workers);
-# aig::par::worker_threads caps it at the machine's cores.
+# AIG_THREADS is pinned so every series runs at a known worker budget
+# whatever the host's core count.
 BENCH_JSON_DIR="$scratch" \
 BENCH_SAMPLE_MS="${BENCH_SAMPLE_MS:-5}" \
 BENCH_MAX_SAMPLES="${BENCH_MAX_SAMPLES:-3}" \
@@ -110,11 +109,10 @@ if [[ $status -ne 0 ]]; then
 fi
 
 echo "== tracked bench ratios =="
-python3 - "$scratch" "$(nproc)" <<'EOF'
+python3 - "$scratch" <<'EOF'
 import json, sys, os
 
 scratch = sys.argv[1]
-cores = int(sys.argv[2])
 
 def medians(name):
     doc = json.load(open(os.path.join(scratch, name)))
@@ -158,17 +156,6 @@ gates = [
     # would touch (measured ~10x tighter).
     (fig2, "fig2_iteration/map_dp_append_rows_above_watermark", "fig2_iteration/map_dp_append_recomputed_rows", 1.5),
 ]
-
-# Speculative SA chain vs serial chain. The speedup comes from scoring
-# a wave's probes on parallel worker slots, so it needs physical cores:
-# at AIG_THREADS=4 on a >= 4-core runner the chain must be >= 1.5x
-# faster. A runner with fewer cores cannot express the parallelism
-# (worker_threads clamps the slot pool to the core count) and measures
-# only the engine's bookkeeping, which must stay bounded: >= 0.6x
-# (measured 0.7-0.85x; the margin absorbs short-sample timer noise).
-spec_floor = 1.5 if cores >= 4 else 0.6
-gates.append((comp, "components/sa_chain_serial_ex28",
-              "components/sa_chain_speculative_ex28", spec_floor))
 
 failed = False
 for doc, slow, fast, floor in gates:

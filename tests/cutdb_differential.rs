@@ -15,7 +15,7 @@ use transform::recipes;
 mod common;
 use common::random_aig_with;
 
-/// One speculative transaction of 1..4 random edits against
+/// One tentative transaction of 1..4 random edits against
 /// `(g, inc, db)`; commits or rolls back both the graph and the
 /// database according to `commit`.
 fn random_transaction(

@@ -121,79 +121,6 @@ fn optimize_transaction_engine_on_vs_off_is_byte_identical() {
     assert_eq!(on.evaluated, off.evaluated);
 }
 
-/// The speculative batch engine on vs off, riding on the transaction
-/// engine's action mix: the full `SaResult` must be byte-identical
-/// under the proxy evaluator across seeds and under the ground-truth
-/// evaluator (forked mappers pricing windowed moves through the
-/// incremental `evaluate_edit` path). The `spec` counters are the one
-/// field outside the contract — present iff the run speculated.
-#[test]
-fn optimize_speculation_on_vs_off_is_byte_identical() {
-    let g = random_aig_with(43, 9, 140, 4);
-    let actions = vec![
-        Recipe(vec![Transform::Rewrite]),
-        Recipe(vec![Transform::RewriteZero]),
-        Recipe(vec![Transform::Refactor]),
-        Recipe(vec![Transform::RefactorZero]),
-        Recipe(vec![Transform::Balance]),
-        Recipe(vec![Transform::Resub]),
-        Recipe(vec![Transform::Sweep]),
-        Recipe(vec![Transform::Resub, Transform::Rewrite]),
-    ];
-    for seed in [5u64, 29, 71] {
-        let opts = SaOptions {
-            iterations: 30,
-            seed,
-            ..SaOptions::default()
-        };
-        let off = optimize_with(&g, &mut ProxyCost, &actions, &opts, &mut EvalContext::new());
-        let opts = SaOptions {
-            speculation: Some(saopt::SpeculationOptions::default()),
-            ..opts
-        };
-        let on = optimize_with(&g, &mut ProxyCost, &actions, &opts, &mut EvalContext::new());
-        assert!(on.spec.is_some(), "seed {seed}: speculation must engage");
-        assert!(off.spec.is_none());
-        assert_eq!(
-            to_ascii(&on.best),
-            to_ascii(&off.best),
-            "seed {seed}: best AIG must not depend on speculation"
-        );
-        assert_eq!(on.history, off.history, "seed {seed}");
-        assert_eq!(on.evaluated, off.evaluated, "seed {seed}");
-        assert_eq!(on.accepted, off.accepted, "seed {seed}");
-    }
-
-    let lib = cells::sky130ish();
-    let opts = SaOptions {
-        iterations: 12,
-        seed: 9,
-        ..SaOptions::default()
-    };
-    let off = optimize_with(
-        &g,
-        &mut saopt::GroundTruthCost::new(&lib),
-        &actions,
-        &opts,
-        &mut EvalContext::new(),
-    );
-    let opts = SaOptions {
-        speculation: Some(saopt::SpeculationOptions { batch: 4 }),
-        ..opts
-    };
-    let on = optimize_with(
-        &g,
-        &mut saopt::GroundTruthCost::new(&lib),
-        &actions,
-        &opts,
-        &mut EvalContext::new(),
-    );
-    assert!(on.spec.is_some(), "ground truth must fork");
-    assert_eq!(to_ascii(&on.best), to_ascii(&off.best), "ground truth");
-    assert_eq!(on.history, off.history);
-    assert_eq!(on.evaluated, off.evaluated);
-}
-
 /// A cache pre-warmed by *other* graphs must not perturb results:
 /// recipes applied through a dirty shared cache equal the uncached
 /// application, byte for byte.

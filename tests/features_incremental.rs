@@ -4,8 +4,8 @@
 //! random edit walks (rollbacks included) and on every `benchgen`
 //! design; batched GBT/GNN inference must match the scalar paths bit
 //! for bit; and ML-guided SA must be byte-identical with the
-//! transaction engine on or off, with speculation on or off, and for
-//! any `AIG_THREADS` worker count.
+//! transaction engine on or off, and for any `AIG_THREADS` worker
+//! count.
 
 use aig::aiger::to_ascii;
 use aig::incremental::{IncrementalAnalysis, Transaction};
@@ -15,7 +15,7 @@ use gbt::{Forest, GbtParams};
 use gnn::{GnnModel, GnnParams, GnnScratch, GraphData};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use saopt::{optimize_with, EvalContext, MlCost, SaOptions, SpeculationOptions};
+use saopt::{optimize_with, EvalContext, MlCost, SaOptions};
 use transform::{recipes, Recipe, Transform};
 
 mod common;
@@ -86,7 +86,7 @@ fn random_edit(
             let region = txn.touched_region().clone();
             feats.sync(txn.aig(), &region, txn.analysis());
             // The mid-edit state must already match the oracle on the
-            // edited graph (this is what prices a speculated move).
+            // edited graph (this is what prices a tentative move).
             feats.assert_matches_oracle(txn.aig());
             if rng.gen() {
                 txn.commit();
@@ -258,10 +258,9 @@ impl Drop for EnvGuard {
 }
 
 /// ML-guided SA through the incremental feature path: the transaction
-/// engine on vs off (full `extract` oracle per candidate), and the
-/// speculative batch engine on top (forked `MlCost`s with per-slot
-/// feature state), must produce byte-identical `SaResult`s — and the
-/// whole matrix must be independent of `AIG_THREADS`.
+/// engine on vs off (full `extract` oracle per candidate) must produce
+/// byte-identical `SaResult`s — and both must be independent of
+/// `AIG_THREADS`.
 #[test]
 fn ml_guided_sa_engine_and_threads_byte_identical() {
     let _guard = EnvGuard(std::env::var("AIG_THREADS").ok());
@@ -302,10 +301,6 @@ fn ml_guided_sa_engine_and_threads_byte_identical() {
         seed: 11,
         ..SaOptions::default()
     };
-    let spec_opts = SaOptions {
-        speculation: Some(SpeculationOptions::default()),
-        ..opts
-    };
 
     let mut per_thread_results = Vec::new();
     for threads in ["1", "4"] {
@@ -334,22 +329,6 @@ fn ml_guided_sa_engine_and_threads_byte_identical() {
         assert_eq!(on.history, off.history, "{threads} threads");
         assert_eq!(on.evaluated, off.evaluated, "{threads} threads");
         assert_eq!(on.accepted, off.accepted, "{threads} threads");
-
-        let spec = optimize_with(
-            &g,
-            &mut MlCost::new(&delay_model, &area_model),
-            &actions,
-            &spec_opts,
-            &mut EvalContext::new(),
-        );
-        assert!(spec.spec.is_some(), "{threads} threads: ML must fork");
-        assert_eq!(
-            to_ascii(&spec.best),
-            to_ascii(&on.best),
-            "{threads} threads: speculation must match the serial engine"
-        );
-        assert_eq!(spec.history, on.history, "{threads} threads: spec");
-        assert_eq!(spec.evaluated, on.evaluated, "{threads} threads: spec");
         per_thread_results.push(on);
     }
     let (a, b) = (&per_thread_results[0], &per_thread_results[1]);

@@ -21,7 +21,7 @@ mod common;
 use common::random_aig_with;
 
 /// Drives the exact engine protocol the SA loop uses — warm
-/// `IncrementalAnalysis` + `CutDb`, speculative transactions carrying
+/// `IncrementalAnalysis` + `CutDb`, tentative transactions carrying
 /// local rewrites and raw substitutions, accept/reject with
 /// rollbacks and evaluator re-syncs — asserting after every single
 /// step that the incremental evaluator's metrics are bit-identical
@@ -151,11 +151,9 @@ fn drive_undo_walk(g0: &Aig, seed: u64, steps: usize) -> (usize, usize) {
             } else {
                 InplaceMode::ZeroCost
             };
-            transform::resynth_inplace_window(
-                &mut txn, &mut db, &cache, mode, true, start, 128, None,
-            );
+            transform::resynth_inplace_window(&mut txn, &mut db, &cache, mode, true, start, 128);
         } else {
-            transform::balance_inplace_window(&mut txn, &mut db, start, 64, None);
+            transform::balance_inplace_window(&mut txn, &mut db, start, 64);
         }
         let since = txn.min_touched();
         let grew = txn.aig().num_nodes() > n_before;
